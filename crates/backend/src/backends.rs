@@ -15,9 +15,9 @@
 
 use crate::session::{feed_trace, SessionConfig, SessionOutput, SimSession};
 use picos_cluster::{ClusterConfig, ClusterError, ClusterSession, FaultPlan, ShardPolicy};
-use picos_core::{PicosConfig, Stats};
+use picos_core::PicosConfig;
 use picos_hil::{HilConfig, HilError, HilMode, HilSession, LinkModel};
-use picos_runtime::{ExecReport, PerfectSession, SoftwareSession, SwError, SwRuntimeConfig};
+use picos_runtime::{PerfectSession, SoftwareSession, SwError, SwRuntimeConfig};
 use picos_trace::Trace;
 use std::fmt;
 
@@ -75,10 +75,9 @@ impl From<ClusterError> for BackendError {
 /// discovers them, handles [`Admission::Backpressured`](crate::Admission)
 /// when the engine's in-flight window is saturated, advances simulated
 /// time, drains [`SimEvent`](crate::SimEvent)s and finishes to collect the
-/// report. The batch entry points [`ExecBackend::run`] /
-/// [`ExecBackend::run_with_stats`] are **default methods** implemented on
-/// top of a session (feed the whole trace, then finish), so every engine
-/// has exactly one execution core.
+/// report. The batch entry point [`ExecBackend::run`] is a **default
+/// method** implemented on top of a session (feed the whole trace, then
+/// finish), so every engine has exactly one execution core.
 ///
 /// All engines of the reproduction — hardware model, software runtime,
 /// perfect scheduler, sharded cluster — implement this trait, which is
@@ -114,44 +113,20 @@ pub trait ExecBackend: Send + Sync + fmt::Debug {
         self.open_with(SessionConfig::batch())
     }
 
-    /// Runs the trace to completion: opens a session, feeds every task in
-    /// creation order (declaring the trace's taskwaits) and finishes it.
+    /// Runs the trace to completion under explicit session knobs: opens a
+    /// session, feeds every task in creation order (declaring the trace's
+    /// taskwaits) and finishes it, returning everything the run produced
+    /// — report, hardware counters, the cycle-windowed
+    /// [`Timeline`](picos_metrics::Timeline) (when
+    /// [`SessionConfig::timeline_window`] is set), spans and the labeled
+    /// metrics registry. Telemetry is observation-only: the report and
+    /// counters are bit-identical under every [`SessionConfig`].
     ///
     /// # Errors
     ///
     /// Returns a [`BackendError`] when the engine cannot complete the
     /// trace (stall, deadlock, invalid configuration).
-    fn run(&self, trace: &Trace) -> Result<ExecReport, BackendError> {
-        self.run_with_stats(trace).map(|(r, _)| r)
-    }
-
-    /// Runs the trace and also returns the hardware counters, when the
-    /// backend models Picos. Like [`ExecBackend::run`], a session drive.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ExecBackend::run`].
-    fn run_with_stats(&self, trace: &Trace) -> Result<(ExecReport, Option<Stats>), BackendError> {
-        let mut session = self.open()?;
-        feed_trace(&mut *session, trace).map_err(|e| BackendError::Config(e.to_string()))?;
-        session.finish()
-    }
-
-    /// Runs the trace under explicit session knobs and returns everything
-    /// the run produced — report, hardware counters, the cycle-windowed
-    /// [`Timeline`](picos_metrics::Timeline) (when
-    /// [`SessionConfig::timeline_window`] is set) and the labeled metrics
-    /// registry. Telemetry is observation-only: the report and counters
-    /// are bit-identical to [`ExecBackend::run_with_stats`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ExecBackend::run`].
-    fn run_with_telemetry(
-        &self,
-        trace: &Trace,
-        cfg: SessionConfig,
-    ) -> Result<SessionOutput, BackendError> {
+    fn run(&self, trace: &Trace, cfg: SessionConfig) -> Result<SessionOutput, BackendError> {
         let mut session = self.open_with(cfg)?;
         feed_trace(&mut *session, trace).map_err(|e| BackendError::Config(e.to_string()))?;
         session.finish_full()
@@ -391,24 +366,6 @@ impl BackendSpec {
             faults: None,
         }
     }
-
-    /// Builds the boxed backend for a concrete worker count and Picos core
-    /// configuration (ignored by the non-Picos families), with the default
-    /// inter-shard interconnect for the cluster family.
-    pub fn build(self, workers: usize, picos: &PicosConfig) -> Box<dyn ExecBackend> {
-        self.builder(workers).picos(picos).build()
-    }
-
-    /// Like [`BackendSpec::build`], with an explicit interconnect cost
-    /// model for the cluster family (the other families ignore it).
-    pub fn build_with_link(
-        self,
-        workers: usize,
-        picos: &PicosConfig,
-        link: LinkModel,
-    ) -> Box<dyn ExecBackend> {
-        self.builder(workers).picos(picos).link(Some(link)).build()
-    }
 }
 
 impl fmt::Display for BackendSpec {
@@ -512,14 +469,27 @@ impl BackendBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picos_core::Stats;
+    use picos_runtime::ExecReport;
     use picos_trace::gen;
+
+    /// A batch run's schedule report.
+    fn report(b: &dyn ExecBackend, tr: &Trace) -> Result<ExecReport, BackendError> {
+        b.run(tr, SessionConfig::batch()).map(|o| o.report)
+    }
+
+    /// A batch run's schedule report and hardware counters.
+    fn report_and_stats(b: &dyn ExecBackend, tr: &Trace) -> (ExecReport, Option<Stats>) {
+        let out = b.run(tr, SessionConfig::batch()).unwrap();
+        (out.report, out.stats)
+    }
 
     #[test]
     fn labels_match_report_engine_field() {
         let tr = gen::synthetic(gen::Case::Case1);
         for spec in BackendSpec::ALL {
-            let b = spec.build(4, &PicosConfig::balanced());
-            let r = b.run(&tr).unwrap();
+            let b = spec.builder(4).build();
+            let r = report(&*b, &tr).unwrap();
             assert_eq!(r.engine, spec.label(), "{spec:?}");
             assert_eq!(b.name(), spec.label());
             assert_eq!(b.workers(), 4);
@@ -544,16 +514,10 @@ mod tests {
     #[test]
     fn stats_only_from_picos() {
         let tr = gen::synthetic(gen::Case::Case2);
-        let cfg = PicosConfig::balanced();
-        let (_, stats) = BackendSpec::Perfect
-            .build(4, &cfg)
-            .run_with_stats(&tr)
-            .unwrap();
+        let (_, stats) = report_and_stats(&*BackendSpec::Perfect.builder(4).build(), &tr);
         assert!(stats.is_none());
-        let (_, stats) = BackendSpec::Picos(HilMode::HwOnly)
-            .build(4, &cfg)
-            .run_with_stats(&tr)
-            .unwrap();
+        let hw = BackendSpec::Picos(HilMode::HwOnly).builder(4).build();
+        let (_, stats) = report_and_stats(&*hw, &tr);
         let stats = stats.expect("picos reports hardware counters");
         assert_eq!(stats.tasks_completed as usize, tr.len());
     }
@@ -564,7 +528,7 @@ mod tests {
         // panic (the sweep harness promises cells never panic).
         let tr = gen::synthetic(gen::Case::Case1);
         for spec in BackendSpec::ALL {
-            let r = spec.build(0, &PicosConfig::balanced()).run(&tr);
+            let r = report(&*spec.builder(0).build(), &tr);
             assert!(
                 matches!(
                     r,
@@ -601,10 +565,7 @@ mod tests {
     #[test]
     fn cluster_backend_reports_merged_hw_counters() {
         let tr = gen::synthetic(gen::Case::Case2);
-        let (r, stats) = BackendSpec::Cluster(2)
-            .build(4, &PicosConfig::balanced())
-            .run_with_stats(&tr)
-            .unwrap();
+        let (r, stats) = report_and_stats(&*BackendSpec::Cluster(2).builder(4).build(), &tr);
         let stats = stats.expect("cluster reports hardware counters");
         assert_eq!(stats.tasks_completed as usize, tr.len());
         assert_eq!(r.engine, "cluster");
@@ -620,113 +581,73 @@ mod tests {
             width: 1,
         };
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
-        let fast = BackendSpec::Cluster(4)
-            .builder(8)
-            .policy(Some(ShardPolicy::RoundRobin))
-            .build()
-            .run(&tr)
-            .unwrap();
-        let slowed = BackendSpec::Cluster(4)
-            .builder(8)
-            .policy(Some(ShardPolicy::RoundRobin))
-            .link(Some(slow))
-            .build()
-            .run(&tr)
-            .unwrap();
+        let round_robin = || {
+            BackendSpec::Cluster(4)
+                .builder(8)
+                .policy(Some(ShardPolicy::RoundRobin))
+        };
+        let fast = report(&*round_robin().build(), &tr).unwrap();
+        let slowed = report(&*round_robin().link(Some(slow)).build(), &tr).unwrap();
         assert!(slowed.makespan > fast.makespan, "link knob must bite");
         // Non-cluster families ignore the cluster knobs.
-        let a = BackendSpec::Perfect.builder(4).build().run(&tr).unwrap();
+        let a = report(&*BackendSpec::Perfect.builder(4).build(), &tr).unwrap();
         let b = BackendSpec::Perfect
             .builder(4)
             .link(Some(slow))
             .policy(Some(ShardPolicy::RoundRobin))
-            .build()
-            .run(&tr)
-            .unwrap();
-        assert_eq!(a, b);
+            .build();
+        assert_eq!(a, report(&*b, &tr).unwrap());
     }
 
     #[test]
     fn builder_threads_knob_is_bit_identical_and_validated() {
         let tr = gen::stream(gen::StreamConfig::heavy(400));
-        let serial = BackendSpec::Cluster(4)
-            .builder(8)
-            .build()
-            .run_with_stats(&tr)
-            .unwrap();
-        let parallel = BackendSpec::Cluster(4)
-            .builder(8)
-            .threads(Some(4))
-            .build()
-            .run_with_stats(&tr)
-            .unwrap();
-        assert_eq!(serial, parallel);
+        let serial = report_and_stats(&*BackendSpec::Cluster(4).builder(8).build(), &tr);
+        let parallel = BackendSpec::Cluster(4).builder(8).threads(Some(4)).build();
+        assert_eq!(serial, report_and_stats(&*parallel, &tr));
         // threads > shards is a configuration error, surfaced at open.
-        let err = BackendSpec::Cluster(2)
-            .builder(8)
-            .threads(Some(3))
-            .build()
-            .run(&tr)
-            .unwrap_err();
+        let over = BackendSpec::Cluster(2).builder(8).threads(Some(3)).build();
+        let err = report(&*over, &tr).unwrap_err();
         assert!(
             err.to_string()
                 .contains("3 simulation threads exceed 2 shards"),
             "unhelpful error: {err}"
         );
         // Non-cluster families ignore the knob.
-        let a = BackendSpec::Perfect.builder(4).build().run(&tr).unwrap();
-        let b = BackendSpec::Perfect
-            .builder(4)
-            .threads(Some(64))
-            .build()
-            .run(&tr)
-            .unwrap();
-        assert_eq!(a, b);
+        let a = report(&*BackendSpec::Perfect.builder(4).build(), &tr).unwrap();
+        let b = BackendSpec::Perfect.builder(4).threads(Some(64)).build();
+        assert_eq!(a, report(&*b, &tr).unwrap());
     }
 
     #[test]
     fn builder_faults_knob_zero_plan_is_identity_and_faulty_runs_terminate() {
         let tr = gen::stream(gen::StreamConfig::heavy(200));
-        let base = BackendSpec::Cluster(4)
-            .builder(8)
-            .build()
-            .run_with_stats(&tr)
-            .unwrap();
-        let zero = BackendSpec::Cluster(4)
-            .builder(8)
-            .faults(Some(FaultPlan::new(11)))
-            .build()
-            .run_with_stats(&tr)
-            .unwrap();
+        let cluster =
+            |plan: Option<FaultPlan>| BackendSpec::Cluster(4).builder(8).faults(plan).build();
+        let base = report_and_stats(&*cluster(None), &tr);
+        let zero = report_and_stats(&*cluster(Some(FaultPlan::new(11))), &tr);
         assert_eq!(base, zero, "zero-fault plan must be bit-identical");
         // A lossy link either completes (retries absorbed the drops) or
         // surfaces the typed timeout — never a stall or a panic.
-        let faulty = BackendSpec::Cluster(4)
-            .builder(8)
-            .faults(Some(FaultPlan::new(7).with_drop_rate(0.2)))
-            .build()
-            .run(&tr);
+        let faulty = report(&*cluster(Some(FaultPlan::new(7).with_drop_rate(0.2))), &tr);
         match faulty {
             Ok(r) => r.validate(&tr).unwrap(),
             Err(BackendError::Cluster(ClusterError::LinkTimeout { .. })) => {}
             other => panic!("faulted run must terminate typed, got {other:?}"),
         }
         // Non-cluster families ignore the knob.
-        let a = BackendSpec::Perfect.builder(4).build().run(&tr).unwrap();
+        let a = report(&*BackendSpec::Perfect.builder(4).build(), &tr).unwrap();
         let b = BackendSpec::Perfect
             .builder(4)
             .faults(Some(FaultPlan::new(1).with_drop_rate(0.5)))
-            .build()
-            .run(&tr)
-            .unwrap();
-        assert_eq!(a, b);
+            .build();
+        assert_eq!(a, report(&*b, &tr).unwrap());
         // An invalid plan is a configuration error at open, not a panic.
-        let err = BackendSpec::Cluster(2)
+        let bad = BackendSpec::Cluster(2)
             .builder(4)
             .faults(Some(FaultPlan::new(1).with_drop_rate(1.5)))
-            .build()
-            .run(&tr)
-            .unwrap_err();
+            .build();
+        let err = report(&*bad, &tr).unwrap_err();
         assert!(
             matches!(err, BackendError::Cluster(ClusterError::Config(_))),
             "bad plan must surface as config error, got {err:?}"
@@ -739,8 +660,8 @@ mod tests {
         // finish: the streamed result must match the batch run.
         let tr = gen::synthetic(gen::Case::Case1);
         for spec in BackendSpec::ALL {
-            let b = spec.build(4, &PicosConfig::balanced());
-            let batch = b.run_with_stats(&tr).unwrap();
+            let b = spec.builder(4).build();
+            let batch = report_and_stats(&*b, &tr);
             let mut s = b.open().unwrap();
             feed_trace(&mut *s, &tr).unwrap();
             let streamed = s.finish().unwrap();

@@ -7,12 +7,12 @@
 //! cluster. This crate puts all of them behind one trait, [`ExecBackend`],
 //! whose primary interface is the incremental, backpressure-aware
 //! [`SimSession`] (`open` → `submit`/`barrier`/`advance_to`/`step` →
-//! `finish`); the batch `run(&Trace)` entry points are default methods
-//! over sessions. On top sit the [`Sweep`] harness — a declarative
-//! experiment grid (workloads × workers × backends × DM designs ×
-//! instance counts) whose cells execute in parallel on OS threads with
-//! deterministic result ordering — and the open-loop paced driver
-//! ([`pace`]).
+//! `finish`); the batch `run(&Trace, SessionConfig)` entry point is a
+//! default method over a session. On top sit the [`Sweep`] harness — a
+//! declarative experiment grid (workloads × workers × backends × DM
+//! designs × instance counts) whose cells execute in parallel on OS
+//! threads with deterministic result ordering — and the open-loop paced
+//! driver ([`pace`]).
 //!
 //! See `ARCHITECTURE.md` at the repository root for the crate layering,
 //! the session sequence diagram and a walkthrough of adding a new backend.
@@ -36,12 +36,12 @@
 //!
 //! ```
 //! use picos_backend::{Admission, BackendSpec, SessionCore};
-//! use picos_core::PicosConfig;
 //! use picos_trace::gen;
 //!
 //! let trace = gen::synthetic(gen::Case::Case1);
 //! let backend = BackendSpec::Picos(picos_hil::HilMode::HwOnly)
-//!     .build(4, &PicosConfig::balanced());
+//!     .builder(4)
+//!     .build();
 //! let mut session = backend.open()?;
 //! for task in trace.iter() {
 //!     while session.submit(task) == Admission::Backpressured {
@@ -71,8 +71,7 @@ pub use backends::{
     PicosBackend, SoftwareBackend,
 };
 pub use pace::{
-    run_paced, run_paced_full, run_paced_with_telemetry, ArrivalTrace, PaceReport, PacedTask,
-    PacedTrace, TraceSource,
+    run_paced, run_paced_full, ArrivalTrace, PaceReport, PacedTask, PacedTrace, TraceSource,
 };
 pub use picos_cluster::{FaultCounters, FaultPlan, ShardPause, WorkerFault};
 pub use picos_metrics::{

@@ -205,41 +205,27 @@ pub fn run_paced(
     source: impl TraceSource,
     window: Option<usize>,
 ) -> Result<PaceReport, BackendError> {
-    run_paced_with_telemetry(backend, source, window, None)
-}
-
-/// [`run_paced`] with an optional cycle-windowed telemetry timeline: the
-/// driver samples its own backpressure and in-flight occupancy on the
-/// arrival clock, the session records its engine-side series, and the
-/// report's timeline stitches both (driver series under the `pace.`
-/// scope). Telemetry is observation-only — the schedule and admission
-/// counts are identical to a plain [`run_paced`].
-///
-/// # Errors
-///
-/// See [`run_paced`].
-pub fn run_paced_with_telemetry(
-    backend: &dyn ExecBackend,
-    source: impl TraceSource,
-    window: Option<usize>,
-    timeline_window: Option<u64>,
-) -> Result<PaceReport, BackendError> {
     run_paced_full(
         backend,
         source,
         SessionConfig {
             window,
-            timeline_window,
             ..SessionConfig::batch()
         },
     )
 }
 
 /// The full-config paced driver: every [`SessionConfig`] knob applies to
-/// the open-loop session, including [`SessionConfig::trace_spans`] — a
-/// paced run records the same task-lifecycle spans as a batch session, so
-/// `--trace-out`/`--critical-path` work under pacing. The `window` field
-/// is the paced in-flight cap ([`run_paced`]'s `window` argument).
+/// the open-loop session. With [`SessionConfig::timeline_window`] set, the
+/// driver samples its own backpressure and in-flight occupancy on the
+/// arrival clock, the session records its engine-side series, and the
+/// report's timeline stitches both (driver series under the `pace.`
+/// scope). With [`SessionConfig::trace_spans`], a paced run records the
+/// same task-lifecycle spans as a batch session, so
+/// `--trace-out`/`--critical-path` work under pacing. Telemetry is
+/// observation-only — the schedule and admission counts are identical to
+/// a plain [`run_paced`]. The `window` field is the paced in-flight cap
+/// ([`run_paced`]'s `window` argument).
 ///
 /// # Errors
 ///
@@ -352,7 +338,6 @@ pub fn run_paced_full(
 mod tests {
     use super::*;
     use crate::backends::{BackendSpec, PerfectBackend};
-    use picos_core::PicosConfig;
     use picos_trace::gen;
 
     #[test]
@@ -371,7 +356,9 @@ mod tests {
     #[test]
     fn saturating_rate_backpressures_but_drops_nothing() {
         let tr = gen::stream(gen::StreamConfig::heavy(400));
-        let b = BackendSpec::Picos(picos_hil::HilMode::HwOnly).build(2, &PicosConfig::balanced());
+        let b = BackendSpec::Picos(picos_hil::HilMode::HwOnly)
+            .builder(2)
+            .build();
         let r = run_paced(&*b, PacedTrace::new(&tr, 1), Some(8)).unwrap();
         assert_eq!(r.tasks, tr.len(), "no task may be dropped");
         assert!(r.backpressured_tasks > 0, "rate 1/cycle must saturate");
@@ -419,7 +406,7 @@ mod tests {
     #[test]
     fn faster_offered_rate_cannot_slow_completion() {
         let tr = gen::stream(gen::StreamConfig::heavy(300));
-        let b = BackendSpec::Cluster(2).build(8, &PicosConfig::balanced());
+        let b = BackendSpec::Cluster(2).builder(8).build();
         let slow = run_paced(&*b, PacedTrace::new(&tr, 500), Some(64)).unwrap();
         let fast = run_paced(&*b, PacedTrace::new(&tr, 10), Some(64)).unwrap();
         assert!(fast.report.makespan <= slow.report.makespan);

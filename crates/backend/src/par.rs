@@ -2,19 +2,12 @@
 //!
 //! The build environment has no crates.io access, so instead of `rayon`
 //! the sweep harness fans work out with `std::thread::scope`: a shared
-//! atomic cursor hands item indices to worker threads, and each result is
-//! written back into its item's slot. Output order therefore equals input
-//! order regardless of thread count or scheduling — the property the
-//! sweep determinism guarantee rests on.
-//!
-//! Result slots are write-once `Option<R>` cells behind a
-//! [`DisjointSlice`] (see `picos_runtime::par`), not `Mutex<Option<R>>`:
-//! the cursor already guarantees each index is claimed by exactly one
-//! thread, so the per-item lock/unlock round trip was pure churn on
-//! sweeps with many tiny cells. The same primitive backs the cluster's
-//! epoch-parallel shard lanes.
+//! atomic cursor hands item indices to worker threads, each thread keeps
+//! its `(index, result)` pairs, and the joined chunks are scattered back
+//! into item order. Output order therefore equals input order regardless
+//! of thread count or scheduling — the property the sweep determinism
+//! guarantee rests on.
 
-use picos_runtime::par::DisjointSlice;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Applies `f` to every item, using up to `threads` OS threads, and
@@ -37,31 +30,30 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let next = AtomicUsize::new(0);
-    // `Option<R>` (not bare `MaybeUninit<R>`) keeps the unwind path clean:
-    // if a worker panics, the slots vector still drops every result that
-    // was already written.
+    let chunks: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut chunk = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        chunk.push((i, f(i, item)));
+                    }
+                    chunk
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
     let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
     out.resize_with(items.len(), || None);
-    let slots = DisjointSlice::new(&mut out);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            handles.push(scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let r = f(i, item);
-                // SAFETY: the cursor hands index `i` to exactly one
-                // thread, so no other thread touches this slot; the
-                // scoped join below publishes the write to the caller.
-                unsafe { *slots.get(i) = Some(r) };
-            }));
-        }
-        for h in handles {
-            if let Err(p) = h.join() {
-                std::panic::resume_unwind(p);
-            }
-        }
-    });
+    for (i, r) in chunks.into_iter().flatten() {
+        out[i] = Some(r);
+    }
     out.into_iter()
         .map(|s| s.expect("every index visited exactly once"))
         .collect()
@@ -117,8 +109,8 @@ mod tests {
 
     #[test]
     fn results_with_heap_allocations_survive() {
-        // The write-once slots must move owned values intact across the
-        // thread boundary (this used to go through a Mutex).
+        // Owned values must move intact across the thread boundary and
+        // back into their items' positions.
         let items: Vec<u32> = (0..50).collect();
         let out = par_map(&items, 4, |i, &x| vec![x; i % 3 + 1]);
         for (i, v) in out.iter().enumerate() {

@@ -6,9 +6,8 @@
 //! [`SessionCore`] plus a uniform finish that folds each engine's result
 //! and error types into one [`SessionOutput`] ([`ExecReport`], optional
 //! hardware [`Stats`], optional [`Timeline`], labeled [`MetricSet`]).
-//! `ExecBackend::run` / `run_with_stats` / `run_with_telemetry` are
-//! default methods driving one of these — no backend carries its own
-//! batch loop.
+//! `ExecBackend::run` is a default method driving one of these — no
+//! backend carries its own batch loop.
 
 use crate::backends::BackendError;
 use picos_cluster::{merged_stats, ClusterSession};

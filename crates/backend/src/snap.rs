@@ -89,7 +89,6 @@ mod tests {
     use super::*;
     use crate::backends::{BackendSpec, ExecBackend};
     use crate::session::{feed_trace, Admission, SessionConfig, SessionCore};
-    use picos_core::PicosConfig;
     use picos_hil::HilMode;
     use picos_runtime::{replay_journal, replay_journal_tail, JournaledSession};
     use picos_trace::rng::SplitMix64;
@@ -107,7 +106,7 @@ mod tests {
     }
 
     fn build(spec: BackendSpec) -> Box<dyn ExecBackend> {
-        spec.build(4, &PicosConfig::balanced())
+        spec.builder(4).build()
     }
 
     /// Feeds `trace[range]` like the batch loop: the barrier at position
@@ -195,7 +194,8 @@ mod tests {
         let snap = Snapshot::capture(&*live);
         // Same family, different worker count.
         let mut other = BackendSpec::Picos(HilMode::FullSystem)
-            .build(8, &PicosConfig::balanced())
+            .builder(8)
+            .build()
             .open()
             .unwrap();
         assert!(snap.restore(&mut *other).is_err(), "workers must guard");

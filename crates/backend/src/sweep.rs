@@ -8,9 +8,9 @@
 //! row order equals cell order — so the same grid produces byte-identical
 //! results regardless of thread count.
 
-use crate::backends::{BackendError, BackendSpec, ExecBackend};
+use crate::backends::BackendSpec;
 use crate::par;
-use crate::session::{Admission, FeedStall, SessionConfig, SessionCore, SessionOutput, SimSession};
+use crate::session::SessionConfig;
 use picos_cluster::FaultPlan;
 use picos_core::{DmDesign, PicosConfig, TsPolicy};
 use picos_hil::LinkModel;
@@ -182,7 +182,7 @@ pub struct SweepRow {
     /// `category:cycles;...` rendering of
     /// [`span::CriticalPath::compact`], whose cycles sum to the makespan.
     pub critical_path: Option<String>,
-    /// Error description when the cell failed or was skipped.
+    /// Error description when the cell failed.
     pub error: Option<String>,
 }
 
@@ -398,8 +398,6 @@ pub struct Sweep {
     cluster_threads: usize,
     faults: Vec<Option<FaultPlan>>,
     filter: Option<CellFilter>,
-    fail_fast: bool,
-    warm_start: bool,
 }
 
 impl Sweep {
@@ -419,8 +417,6 @@ impl Sweep {
             cluster_threads: 1,
             faults: vec![None],
             filter: None,
-            fail_fast: false,
-            warm_start: false,
         }
     }
 
@@ -544,33 +540,6 @@ impl Sweep {
         self
     }
 
-    /// Stops launching new cells after the first cell error; cells that
-    /// never ran are reported with a "skipped" error. Which in-flight
-    /// cells still complete depends on scheduling, so a fail-fast sweep
-    /// trades the determinism guarantee for early exit.
-    pub fn fail_fast(mut self) -> Self {
-        self.fail_fast = true;
-        self
-    }
-
-    /// Enables warm-start execution: cells that share a complete backend
-    /// configuration *and* whose traces share a common task prefix (a
-    /// **stem** — the autotuning shape, one recorded arrival prefix with
-    /// divergent candidate suffixes) open one session, feed the stem once,
-    /// and [`SimSession::fork_boxed`] a replica per cell for the divergent
-    /// suffix. The fork is a deep copy and every engine is a deterministic
-    /// function of its input stream, so warm rows are **bit-identical** to
-    /// a cold run — only the per-cell session construction and stem
-    /// ingest work (admission, dependence registration) is deduplicated;
-    /// simulation after the divergence point is inherently per-cell.
-    /// Cells run grouped per stem (parallelism is across stems), so the
-    /// speedup guarantee (warm >= cold, gated in `bench_smoke`) is
-    /// measured on serial sweeps.
-    pub fn warm_start(mut self) -> Self {
-        self.warm_start = true;
-        self
-    }
-
     /// Enumerates the grid cells in deterministic order: workloads (outer)
     /// × backends × DM designs × instance counts × workers (inner). For
     /// non-Picos backends the DM/instances axes are degenerate, so only
@@ -635,355 +604,97 @@ impl Sweep {
     pub fn run(&self) -> SweepResult {
         let cells = self.cells();
         let threads = self.threads.unwrap_or_else(par::default_threads);
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        if self.warm_start {
-            return self.run_warm(&cells, threads, &stop);
-        }
-        let rows = par::par_map(&cells, threads, |_, cell| {
-            if self.fail_fast && stop.load(std::sync::atomic::Ordering::Relaxed) {
-                return skipped_row(cell);
-            }
-            // Cells carry the index of their workload, so duplicate labels
-            // can never resolve to the wrong trace.
-            let trace = &self.workloads[cell.workload_index].trace;
-            let row = run_cell(
-                cell,
-                trace,
-                self.ts_policy,
-                self.link,
-                self.timeline,
-                self.critical_path,
-            );
-            if self.fail_fast && row.error.is_some() {
-                stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            row
-        });
+        let rows = par::par_map(&cells, threads, |_, cell| self.run_cell(cell));
         SweepResult { rows }
     }
 
-    /// The warm-start drive: stems execute in parallel across units, rows
-    /// land back in cell-enumeration order (same determinism guarantee as
-    /// the cold path).
-    fn run_warm(
-        &self,
-        cells: &[SweepCell],
-        threads: usize,
-        stop: &std::sync::atomic::AtomicBool,
-    ) -> SweepResult {
-        use std::sync::atomic::Ordering;
-        let units = self.stem_units(cells);
-        let unit_rows = par::par_map(&units, threads, |_, unit| {
-            if self.fail_fast && stop.load(Ordering::Relaxed) {
-                return unit.cells.iter().map(|&i| skipped_row(&cells[i])).collect();
-            }
-            let rows = self.run_unit(cells, unit);
-            if self.fail_fast && rows.iter().any(|r| r.error.is_some()) {
-                stop.store(true, Ordering::Relaxed);
-            }
-            rows
-        });
-        let mut slots: Vec<Option<SweepRow>> = (0..cells.len()).map(|_| None).collect();
-        for (unit, rows) in units.iter().zip(unit_rows) {
-            for (&i, row) in unit.cells.iter().zip(rows) {
-                slots[i] = Some(row);
-            }
-        }
-        SweepResult {
-            rows: slots
-                .into_iter()
-                .map(|r| r.expect("every cell lands in exactly one unit"))
-                .collect(),
-        }
-    }
-
-    /// Partitions the cells into warm-start units: cells sharing a full
-    /// backend configuration whose traces share a non-empty task prefix
-    /// stay grouped (first-seen order); everything else degrades to
-    /// singleton cold units so cell-level parallelism is kept.
-    fn stem_units(&self, cells: &[SweepCell]) -> Vec<StemUnit> {
-        let mut grouped: Vec<(String, StemUnit)> = Vec::new();
-        for (i, cell) in cells.iter().enumerate() {
-            // The workload is deliberately absent: stems share across
-            // workloads. Everything the backend builder reads is in.
-            let key = format!(
-                "{:?}|{}|{:?}|{}|{}|{:?}",
-                cell.backend, cell.workers, cell.dm, cell.instances, cell.threads, cell.fault
-            );
-            match grouped.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, unit)) => unit.cells.push(i),
-                None => grouped.push((
-                    key,
-                    StemUnit {
-                        cells: vec![i],
-                        stem: 0,
-                    },
-                )),
-            }
-        }
-        let mut units = Vec::new();
-        for (_, mut unit) in grouped {
-            unit.stem = self.common_stem(cells, &unit.cells);
-            if unit.cells.len() < 2 || unit.stem == 0 {
-                units.extend(unit.cells.into_iter().map(|i| StemUnit {
-                    cells: vec![i],
-                    stem: 0,
-                }));
+    /// Runs one cell on its fully-parameterised backend and folds the
+    /// outcome (or the error) into its result row.
+    fn run_cell(&self, cell: &SweepCell) -> SweepRow {
+        // Cells carry the index of their workload, so duplicate labels can
+        // never resolve to the wrong trace.
+        let trace = &self.workloads[cell.workload_index].trace;
+        let backend = cell
+            .backend
+            .builder(cell.workers)
+            .picos(&cell.picos_config(self.ts_policy))
+            .link(Some(self.link))
+            .threads(Some(cell.threads))
+            .faults(cell.fault.clone())
+            .build();
+        let cfg = SessionConfig {
+            timeline_window: self.timeline,
+            trace_spans: self.critical_path,
+            ..SessionConfig::batch()
+        };
+        let mut row = SweepRow {
+            workload: cell.workload.clone(),
+            block_size: cell.block_size,
+            backend: cell.backend,
+            workers: cell.workers,
+            dm: cell.dm,
+            instances: cell.instances,
+            shards: cell.shards,
+            threads: cell.threads,
+            makespan: 0,
+            sequential: 0,
+            speedup: 0.0,
+            dm_conflicts: None,
+            vm_stalls: None,
+            tm_stalls: None,
+            // The plan is a grid coordinate, so its drop rate labels even
+            // errored rows; the counters are outcomes and stay empty for
+            // cluster cells until the run reports them. Backends without
+            // an interconnect collapse the whole fault axis, so their
+            // columns are the degenerate 0 the numeric CSV header implies
+            // — never an empty string.
+            drop_rate: if cell.has_interconnect() {
+                cell.fault.as_ref().map(|p| p.drop_rate)
             } else {
-                units.push(unit);
-            }
-        }
-        units
-    }
-
-    /// Longest shared task prefix of the unit's traces that also agrees on
-    /// taskwait placement: a barrier present in one trace but not another
-    /// gates creation from its position on, so it caps the stem there.
-    fn common_stem(&self, cells: &[SweepCell], idxs: &[usize]) -> usize {
-        let t0 = &self.workloads[cells[idxs[0]].workload_index].trace;
-        let mut stem = t0.len();
-        for &i in &idxs[1..] {
-            let t = &self.workloads[cells[i].workload_index].trace;
-            if Arc::ptr_eq(t, t0) {
-                stem = stem.min(t.len());
-                continue;
-            }
-            let cap = stem.min(t.len());
-            let mut l = 0;
-            while l < cap && t.tasks()[l] == t0.tasks()[l] {
-                l += 1;
-            }
-            stem = l;
-            if let Some(d) = first_barrier_divergence(t0.barriers(), t.barriers()) {
-                stem = stem.min(d);
-            }
-        }
-        stem
-    }
-
-    /// Executes one unit: simulate the stem once, fork per cell for the
-    /// divergent suffix (the last cell consumes the stem session itself).
-    /// Any stem-side problem falls the whole unit back to cold per-cell
-    /// runs, so errors surface exactly like a cold sweep's.
-    fn run_unit(&self, cells: &[SweepCell], unit: &StemUnit) -> Vec<SweepRow> {
-        let cold = |i: usize| {
-            let cell = &cells[i];
-            run_cell(
-                cell,
-                &self.workloads[cell.workload_index].trace,
-                self.ts_policy,
-                self.link,
-                self.timeline,
-                self.critical_path,
-            )
+                Some(0.0)
+            },
+            link_drops: (!cell.has_interconnect()).then_some(0),
+            link_retries: (!cell.has_interconnect()).then_some(0),
+            timeline: None,
+            critical_path: None,
+            error: None,
         };
-        if unit.stem == 0 {
-            return unit.cells.iter().map(|&i| cold(i)).collect();
-        }
-        let first = &cells[unit.cells[0]];
-        let stem_trace = &self.workloads[first.workload_index].trace;
-        let backend = build_backend(first, self.ts_policy, self.link);
-        let cfg = cell_session_config(self.timeline, self.critical_path);
-        let stem_session = backend
-            .open_with(cfg)
-            .map_err(|e| e.to_string())
-            .and_then(|mut s| {
-                s.reserve(unit.stem);
-                feed_range(&mut *s, stem_trace, 0..unit.stem).map_err(|e| e.to_string())?;
-                Ok(s)
-            });
-        let Ok(stem_session) = stem_session else {
-            return unit.cells.iter().map(|&i| cold(i)).collect();
-        };
-        let mut stem_session = Some(stem_session);
-        let last = unit.cells.len() - 1;
-        unit.cells
-            .iter()
-            .enumerate()
-            .map(|(j, &i)| {
-                let cell = &cells[i];
-                let trace = &self.workloads[cell.workload_index].trace;
-                let mut s = if j == last {
-                    stem_session
-                        .take()
-                        .expect("stem consumed only by the last cell")
-                } else {
-                    stem_session
-                        .as_ref()
-                        .expect("stem alive for forks")
-                        .fork_boxed()
-                };
-                let result = feed_range(&mut *s, trace, unit.stem..trace.len())
-                    .map_err(|e| BackendError::Config(e.to_string()))
-                    .and_then(|()| s.finish_full());
-                row_from_result(cell, trace, result)
-            })
-            .collect()
-    }
-}
-
-/// One warm-start work unit: the indices of cells sharing a backend
-/// configuration, plus the length of their shared trace prefix (0 for a
-/// cold singleton).
-#[derive(Debug)]
-struct StemUnit {
-    cells: Vec<usize>,
-    stem: usize,
-}
-
-/// First position where two sorted taskwait lists diverge (`None` when
-/// identical).
-fn first_barrier_divergence(a: &[u32], b: &[u32]) -> Option<usize> {
-    for (x, y) in a.iter().zip(b) {
-        if x != y {
-            return Some(*x.min(y) as usize);
-        }
-    }
-    match a.len().cmp(&b.len()) {
-        std::cmp::Ordering::Less => Some(b[a.len()] as usize),
-        std::cmp::Ordering::Greater => Some(a[b.len()] as usize),
-        std::cmp::Ordering::Equal => None,
-    }
-}
-
-/// Feeds `trace[range]` like [`crate::feed_trace`]: the barrier at
-/// position `i` is declared right before task `i`, backpressure drains
-/// via `step`.
-fn feed_range(
-    s: &mut dyn SimSession,
-    trace: &Trace,
-    range: std::ops::Range<usize>,
-) -> Result<(), FeedStall> {
-    for i in range {
-        if trace.barriers().contains(&(i as u32)) {
-            s.barrier();
-        }
-        let task = &trace.tasks()[i];
-        loop {
-            match s.submit(task) {
-                Admission::Accepted => break,
-                Admission::Backpressured => {
-                    if !s.step() {
-                        return Err(FeedStall { task: i as u32 });
-                    }
+        match backend.run(trace, cfg) {
+            Ok(out) => {
+                row.makespan = out.report.makespan;
+                row.sequential = out.report.sequential;
+                row.speedup = out.report.speedup();
+                if let Some(s) = out.stats {
+                    row.dm_conflicts = Some(s.dm_conflicts);
+                    row.vm_stalls = Some(s.vm_stalls);
+                    row.tm_stalls = Some(s.tm_stalls);
+                }
+                // Present exactly when the cell ran under an active plan;
+                // keep the degenerate 0 of interconnect-free backends.
+                if let Some(d) = out.metrics.value("faults.drops") {
+                    row.link_drops = Some(d);
+                }
+                if let Some(r) = out.metrics.value("faults.retries") {
+                    row.link_retries = Some(r);
+                }
+                row.timeline = out.timeline;
+                if let Some(log) = &out.spans {
+                    let g = TaskGraph::build(trace);
+                    row.critical_path = span::critical_path(
+                        log,
+                        |t| g.preds(TaskId::new(t)).to_vec(),
+                        row.makespan,
+                    )
+                    .map(|cp| cp.compact());
                 }
             }
-        }
-    }
-    Ok(())
-}
-
-fn skipped_row(cell: &SweepCell) -> SweepRow {
-    SweepRow {
-        workload: cell.workload.clone(),
-        block_size: cell.block_size,
-        backend: cell.backend,
-        workers: cell.workers,
-        dm: cell.dm,
-        instances: cell.instances,
-        shards: cell.shards,
-        threads: cell.threads,
-        makespan: 0,
-        sequential: 0,
-        speedup: 0.0,
-        dm_conflicts: None,
-        vm_stalls: None,
-        tm_stalls: None,
-        // The plan is a grid coordinate, so its drop rate labels even
-        // errored/skipped rows; the counters are outcomes and stay empty
-        // for cluster cells until the run reports them. Backends without
-        // an interconnect collapse the whole fault axis, so their columns
-        // are the degenerate 0 the numeric CSV header implies — never an
-        // empty string.
-        drop_rate: if cell.has_interconnect() {
-            cell.fault.as_ref().map(|p| p.drop_rate)
-        } else {
-            Some(0.0)
-        },
-        link_drops: (!cell.has_interconnect()).then_some(0),
-        link_retries: (!cell.has_interconnect()).then_some(0),
-        timeline: None,
-        critical_path: None,
-        error: Some("skipped: an earlier cell failed (fail-fast)".into()),
-    }
-}
-
-/// The cell's fully-parameterised backend, shared between the cold
-/// per-cell path and the warm-start stem path.
-fn build_backend(cell: &SweepCell, ts_policy: TsPolicy, link: LinkModel) -> Box<dyn ExecBackend> {
-    cell.backend
-        .builder(cell.workers)
-        .picos(&cell.picos_config(ts_policy))
-        .link(Some(link))
-        .threads(Some(cell.threads))
-        .faults(cell.fault.clone())
-        .build()
-}
-
-/// The session configuration a sweep cell opens under.
-fn cell_session_config(timeline: Option<u64>, critical_path: bool) -> SessionConfig {
-    SessionConfig {
-        timeline_window: timeline,
-        trace_spans: critical_path,
-        ..SessionConfig::batch()
-    }
-}
-
-fn run_cell(
-    cell: &SweepCell,
-    trace: &Trace,
-    ts_policy: TsPolicy,
-    link: LinkModel,
-    timeline: Option<u64>,
-    critical_path: bool,
-) -> SweepRow {
-    let backend = build_backend(cell, ts_policy, link);
-    let cfg = cell_session_config(timeline, critical_path);
-    row_from_result(cell, trace, backend.run_with_telemetry(trace, cfg))
-}
-
-/// Folds a finished (or failed) cell execution into its result row —
-/// the one place both the cold and warm paths land, so warm rows are
-/// bit-identical to cold ones by construction.
-fn row_from_result(
-    cell: &SweepCell,
-    trace: &Trace,
-    result: Result<SessionOutput, BackendError>,
-) -> SweepRow {
-    let mut row = skipped_row(cell);
-    row.error = None;
-    match result {
-        Ok(out) => {
-            row.makespan = out.report.makespan;
-            row.sequential = out.report.sequential;
-            row.speedup = out.report.speedup();
-            if let Some(s) = out.stats {
-                row.dm_conflicts = Some(s.dm_conflicts);
-                row.vm_stalls = Some(s.vm_stalls);
-                row.tm_stalls = Some(s.tm_stalls);
-            }
-            // Present exactly when the cell ran under an active plan;
-            // keep the degenerate 0 of interconnect-free backends.
-            if let Some(d) = out.metrics.value("faults.drops") {
-                row.link_drops = Some(d);
-            }
-            if let Some(r) = out.metrics.value("faults.retries") {
-                row.link_retries = Some(r);
-            }
-            row.timeline = out.timeline;
-            if let Some(log) = &out.spans {
-                let g = TaskGraph::build(trace);
-                row.critical_path =
-                    span::critical_path(log, |t| g.preds(TaskId::new(t)).to_vec(), row.makespan)
-                        .map(|cp| cp.compact());
+            Err(e) => {
+                row.sequential = trace.sequential_time();
+                row.error = Some(e.to_string());
             }
         }
-        Err(e) => {
-            row.sequential = trace.sequential_time();
-            row.error = Some(e.to_string());
-        }
+        row
     }
-    row
 }
 
 #[cfg(test)]
@@ -1340,170 +1051,5 @@ mod tests {
         assert!(result
             .speedup_of("cholesky", 256, BackendSpec::Nanos, 99)
             .is_none());
-    }
-
-    /// An autotuning-shaped workload family: `prefix` shared tasks, then a
-    /// per-variant divergent suffix (different durations and dependence
-    /// pattern per `variant`).
-    fn stem_variant(prefix: usize, variant: u64) -> Trace {
-        use picos_trace::Dependence;
-        let mut tr = Trace::new(format!("stem-v{variant}"));
-        let k = tr.kernel("k");
-        for i in 0..prefix as u64 {
-            tr.push(
-                k,
-                [Dependence::output(i % 7), Dependence::input((i + 3) % 7)],
-                40 + (i % 5) * 30,
-            );
-        }
-        for i in 0..20u64 {
-            if i == 8 && variant % 2 == 1 {
-                tr.push_taskwait();
-            }
-            tr.push(
-                k,
-                [
-                    Dependence::output((i * (variant + 1)) % 9),
-                    Dependence::input((i + variant) % 9),
-                ],
-                60 + ((i * 13 + variant * 7) % 11) * 25,
-            );
-        }
-        tr
-    }
-
-    #[test]
-    fn warm_start_stems_group_by_config_and_prefix() {
-        let prefix = 30;
-        let sweep = Sweep::new([
-            Workload::from_trace("v0", Arc::new(stem_variant(prefix, 0))),
-            Workload::from_trace("v2", Arc::new(stem_variant(prefix, 2))),
-            Workload::from_trace("v4", Arc::new(stem_variant(prefix, 4))),
-        ])
-        .workers([4])
-        .backends([BackendSpec::Perfect, BackendSpec::Picos(HilMode::HwOnly)]);
-        let cells = sweep.cells();
-        let units = sweep.stem_units(&cells);
-        // One unit per backend config, each holding all three variants
-        // with the full 30-task stem (no barriers diverge among the even
-        // variants).
-        assert_eq!(units.len(), 2);
-        for unit in &units {
-            assert_eq!(unit.cells.len(), 3);
-            assert_eq!(unit.stem, prefix);
-        }
-    }
-
-    #[test]
-    fn warm_start_caps_stems_at_barrier_divergence() {
-        // Two traces with identical task streams where only one declares a
-        // taskwait: the stem must stop at the divergent barrier position,
-        // not at the end of the shared task prefix.
-        let bar_pos = 12u32;
-        let build = |with_barrier: bool| {
-            use picos_trace::Dependence;
-            let mut tr = Trace::new("bar");
-            let k = tr.kernel("k");
-            for i in 0..30u64 {
-                if with_barrier && i == u64::from(bar_pos) {
-                    tr.push_taskwait();
-                }
-                tr.push(k, [Dependence::output(i % 5)], 50 + (i % 3) * 20);
-            }
-            tr
-        };
-        let grid = || {
-            Sweep::new([
-                Workload::from_trace("plain", Arc::new(build(false))),
-                Workload::from_trace("barred", Arc::new(build(true))),
-            ])
-            .workers([4])
-            .backends([BackendSpec::Perfect])
-        };
-        let sweep = grid();
-        let cells = sweep.cells();
-        let units = sweep.stem_units(&cells);
-        assert_eq!(units.len(), 1);
-        assert_eq!(units[0].stem, bar_pos as usize);
-        assert_eq!(grid().run(), grid().warm_start().run());
-    }
-
-    #[test]
-    fn warm_start_equals_cold_on_shared_prefix_grid() {
-        let prefix = 30;
-        let grid = || {
-            Sweep::new([
-                Workload::from_trace("v0", Arc::new(stem_variant(prefix, 0))),
-                Workload::from_trace("v1", Arc::new(stem_variant(prefix, 1))),
-                Workload::from_trace("v3", Arc::new(stem_variant(prefix, 3))),
-            ])
-            .workers([4])
-            .backends([
-                BackendSpec::Perfect,
-                BackendSpec::Nanos,
-                BackendSpec::Picos(HilMode::FullSystem),
-                BackendSpec::Cluster(2),
-            ])
-            .critical_path()
-            .timeline(64)
-        };
-        let cold = grid().run();
-        let warm = grid().warm_start().run();
-        assert_eq!(cold.first_error(), None);
-        assert_eq!(cold, warm, "warm rows must be bit-identical to cold");
-        // And the warm path must actually have shared stems: v1/v3 place a
-        // barrier inside the suffix, so the stem is still the full prefix.
-        let sweep = grid();
-        let cells = sweep.cells();
-        assert!(sweep
-            .stem_units(&cells)
-            .iter()
-            .any(|u| u.cells.len() == 3 && u.stem == prefix));
-    }
-
-    #[test]
-    fn warm_start_is_identity_on_ordinary_grids() {
-        // Unrelated applications share no prefix: every unit degrades to a
-        // cold singleton and the sweep behaves exactly as before.
-        let grid = || {
-            Sweep::over_apps([App::Cholesky, App::Heat], [128])
-                .workers([4])
-                .backends([BackendSpec::Perfect, BackendSpec::Picos(HilMode::HwOnly)])
-        };
-        let sweep = grid();
-        let cells = sweep.cells();
-        assert!(sweep.stem_units(&cells).iter().all(|u| u.cells.len() == 1));
-        assert_eq!(grid().run(), grid().warm_start().run());
-    }
-
-    #[test]
-    fn warm_start_duplicate_traces_share_the_whole_stem() {
-        // The same Arc'd trace under two labels: the stem is the entire
-        // trace and both rows still come out exactly like cold runs.
-        let tr = Arc::new(stem_variant(20, 0));
-        let grid = || {
-            Sweep::new([
-                Workload::from_trace("a", Arc::clone(&tr)),
-                Workload::from_trace("b", Arc::clone(&tr)),
-            ])
-            .workers([4])
-            .backends([BackendSpec::Picos(HilMode::HwOnly)])
-        };
-        let sweep = grid();
-        let cells = sweep.cells();
-        let units = sweep.stem_units(&cells);
-        assert_eq!(units.len(), 1);
-        assert_eq!(units[0].stem, tr.len());
-        assert_eq!(grid().run(), grid().warm_start().run());
-    }
-
-    #[test]
-    fn first_barrier_divergence_cases() {
-        assert_eq!(first_barrier_divergence(&[], &[]), None);
-        assert_eq!(first_barrier_divergence(&[3, 7], &[3, 7]), None);
-        assert_eq!(first_barrier_divergence(&[3, 7], &[3]), Some(7));
-        assert_eq!(first_barrier_divergence(&[3], &[3, 9]), Some(9));
-        assert_eq!(first_barrier_divergence(&[3, 7], &[3, 9]), Some(7));
-        assert_eq!(first_barrier_divergence(&[5], &[2, 5]), Some(2));
     }
 }

@@ -27,7 +27,6 @@ use picos_core::{FinishedReq, PicosConfig, PicosSystem};
 use picos_hil::HilMode;
 use picos_serve::{ServeConfig, Service, SubmitOutcome, TenantSpec};
 use picos_trace::gen::{self, App};
-use picos_trace::{Dependence, Trace};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -113,9 +112,14 @@ fn main() {
     // The batch backend path: ExecBackend::run is a default method over a
     // streaming session (feed the trace, finish). Same core as above plus
     // worker/dispatch simulation.
-    let hw = BackendSpec::Picos(picos_hil::HilMode::HwOnly).build(8, &PicosConfig::balanced());
+    let hw = BackendSpec::Picos(picos_hil::HilMode::HwOnly)
+        .builder(8)
+        .build();
     let batch_runs_per_sec = sample(window, || {
-        std::hint::black_box(hw.run(&trace).expect("batch run completes"));
+        std::hint::black_box(
+            hw.run(&trace, SessionConfig::batch())
+                .expect("batch run completes"),
+        );
     });
     let batch_tasks_per_sec = batch_runs_per_sec * tasks;
 
@@ -129,9 +133,7 @@ fn main() {
             trace_spans: spans,
             ..SessionConfig::batch()
         };
-        let out = hw
-            .run_with_telemetry(&trace, cfg)
-            .expect("batch run completes");
+        let out = hw.run(&trace, cfg).expect("batch run completes");
         std::hint::black_box(out.report.makespan);
         std::hint::black_box(out.spans.map(|l| l.len()));
     };
@@ -165,9 +167,7 @@ fn main() {
             timeline_window: Some(65_536),
             ..SessionConfig::batch()
         };
-        let out = hw
-            .run_with_telemetry(&trace, cfg)
-            .expect("golden timeline run completes");
+        let out = hw.run(&trace, cfg).expect("golden timeline run completes");
         let tl = out.timeline.as_ref().expect("timeline was requested");
         let stats = out.stats.as_ref().expect("picos backends report stats");
         assert!(!tl.is_empty(), "golden run must produce samples");
@@ -244,77 +244,6 @@ fn main() {
     });
     let cells_per_sec = sweeps_per_sec * cells;
 
-    // Warm- vs cold-start sweep A/B: four workloads share a 600-task
-    // arrival prefix and diverge only in their last 60 tasks, so the
-    // sweep's stem detector ingests the shared prefix once and forks a
-    // snapshot per cell. Cold runs the identical grid with warm start
-    // off. Both sides serial (no cell threads), interleaved medians so
-    // host noise hits them equally; results are bit-identical (pinned in
-    // the sweep tests and re-checked here on the warm-up runs).
-    //
-    // What warm start can and cannot save: batch sessions ingest into a
-    // buffer and simulate everything at finish (bit-exactness forbids
-    // advancing the stem's clock), so sharing the stem saves per-cell
-    // backend construction and prefix ingest but never simulation — on a
-    // simulation-dominated grid warm lands at parity with cold, paying a
-    // session clone per fork for what it saves in re-ingest. The A/B
-    // reports both sides for the trajectory and gates warm against ever
-    // becoming materially slower.
-    let warm_workloads: Vec<Workload> = (0..4u64)
-        .map(|variant| {
-            let mut tr = Trace::new(format!("warm-v{variant}"));
-            let k = tr.kernel("k");
-            for i in 0..600u64 {
-                tr.push(
-                    k,
-                    [Dependence::output(i % 13), Dependence::input((i + 5) % 13)],
-                    40 + (i % 7) * 25,
-                );
-            }
-            for i in 0..60u64 {
-                tr.push(
-                    k,
-                    [Dependence::output((i + variant) % 9)],
-                    30 + ((i + variant) % 5) * 20,
-                );
-            }
-            Workload::from_trace(format!("warm-v{variant}"), Arc::new(tr))
-        })
-        .collect();
-    let warm_cells = warm_workloads.len() as f64;
-    let warm_grid = || {
-        Sweep::new(warm_workloads.clone())
-            .workers([8])
-            .backends([BackendSpec::Picos(HilMode::HwOnly)])
-            .serial()
-    };
-    let mut sweep_ab: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    {
-        let cold_result = warm_grid().run();
-        let warm_result = warm_grid().warm_start().run();
-        assert_eq!(
-            cold_result, warm_result,
-            "warm-started sweep must be bit-identical to cold"
-        );
-        let start = Instant::now();
-        while start.elapsed() < window * 2 || sweep_ab[1].is_empty() {
-            for (side, warm) in [(0, false), (1, true)] {
-                let grid = if warm {
-                    warm_grid().warm_start()
-                } else {
-                    warm_grid()
-                };
-                let t0 = Instant::now();
-                std::hint::black_box(grid.run().rows().len());
-                sweep_ab[side].push(t0.elapsed().as_secs_f64());
-            }
-        }
-    }
-    let [sweep_cold_cells_per_sec, sweep_warm_cells_per_sec] = sweep_ab.map(|mut v| {
-        v.sort_unstable_by(f64::total_cmp);
-        warm_cells / v[v.len() / 2]
-    });
-
     // Cluster backend: shard counts over the open-loop stream workload
     // (its home turf), so the new backend's perf trajectory is covered
     // from day one.
@@ -353,9 +282,19 @@ fn main() {
     let serial4 = cluster_at(1, None);
     let par4 = cluster_at(4, None);
     let fault0 = cluster_at(1, Some(FaultPlan::new(1)));
-    let serial_makespan = serial4.run(&stream4).expect("serial cluster completes");
-    let par_makespan = par4.run(&stream4).expect("parallel cluster completes");
-    let fault0_makespan = fault0.run(&stream4).expect("zero-fault cluster completes");
+    let batch = SessionConfig::batch();
+    let serial_makespan = serial4
+        .run(&stream4, batch)
+        .expect("serial cluster completes")
+        .report;
+    let par_makespan = par4
+        .run(&stream4, batch)
+        .expect("parallel cluster completes")
+        .report;
+    let fault0_makespan = fault0
+        .run(&stream4, batch)
+        .expect("zero-fault cluster completes")
+        .report;
     assert_eq!(
         serial_makespan, par_makespan,
         "parallel cluster engine must be bit-identical to serial"
@@ -374,7 +313,7 @@ fn main() {
         while start.elapsed() < window * 3 || times[1].is_empty() {
             for (side, backend) in [(0, &serial4), (2, &fault0), (1, &par4)] {
                 let t0 = Instant::now();
-                std::hint::black_box(backend.run(&stream4).expect("cluster run completes"));
+                std::hint::black_box(backend.run(&stream4, batch).expect("cluster run completes"));
                 times[side].push(t0.elapsed().as_secs_f64());
             }
         }
@@ -464,8 +403,7 @@ fn main() {
          \"session_tasks_per_sec\": {:.0},\n  \
          \"snapshot_roundtrip_per_sec\": {:.1},\n  \"sweep_cells\": {},\n  \
          \"sweep_cells_per_sec\": {:.1},\n  \
-         \"sweep_warm_cells_per_sec\": {:.1},\n  \
-         \"sweep_cold_cells_per_sec\": {:.1},\n  \"cluster_cells\": {},\n  \
+         \"cluster_cells\": {},\n  \
          \"cluster_cells_per_sec\": {:.1},\n  \
          \"cluster_serial4_cells_per_sec\": {:.1},\n  \
          \"cluster_par_cells_per_sec\": {:.1},\n  \
@@ -486,8 +424,6 @@ fn main() {
         snapshot_roundtrip_per_sec,
         cells as u64,
         cells_per_sec,
-        sweep_warm_cells_per_sec,
-        sweep_cold_cells_per_sec,
         cluster_cells as u64,
         cluster_cells_per_sec,
         cluster_serial4_cells_per_sec,
@@ -533,20 +469,6 @@ fn main() {
             "FAIL: spans-on batch run {spans_on_tasks_per_sec:.0} tasks/s \
              fell more than 10% below the spans-off \
              {spans_off_tasks_per_sec:.0} tasks/s"
-        );
-        std::process::exit(1);
-    }
-    // CI assertion: on a shared-prefix grid the warm-started sweep must
-    // never be slower than the cold sweep (10% sampling-noise allowance —
-    // the two sides measure at parity, see the A/B comment above, so the
-    // gate is a regression guard on the fork path, not a speedup claim):
-    // warm ingests the 600-task stem once and forks the session per cell
-    // for bit-identical results.
-    if sweep_warm_cells_per_sec < sweep_cold_cells_per_sec * 0.90 {
-        eprintln!(
-            "FAIL: warm-started sweep {sweep_warm_cells_per_sec:.1} cells/s \
-             fell below the cold sweep's {sweep_cold_cells_per_sec:.1} cells/s \
-             on a shared-prefix grid"
         );
         std::process::exit(1);
     }

@@ -44,9 +44,7 @@ fn main() {
                 trace_spans: true,
                 ..SessionConfig::batch()
             };
-            let out = backend
-                .run_with_telemetry(&trace, cfg)
-                .expect("cluster run completes");
+            let out = backend.run(&trace, cfg).expect("cluster run completes");
             let log = out.spans.as_ref().expect("span tracing was requested");
             let cp = span::critical_path(
                 log,

@@ -20,7 +20,7 @@
 //!
 //! Knob: `FIG_UTIL_WINDOWS` — target samples per run (default 200).
 
-use picos_backend::{BackendSpec, Sweep, Workload};
+use picos_backend::{BackendSpec, SessionConfig, Sweep, Workload};
 use picos_bench::{f2, results_dir, Table};
 use picos_core::DmDesign;
 use picos_hil::HilMode;
@@ -74,8 +74,9 @@ fn main() {
         let probe = BackendSpec::Picos(HilMode::HwOnly)
             .builder(8)
             .build()
-            .run(&workload.trace)
-            .expect("probe run completes");
+            .run(&workload.trace, SessionConfig::batch())
+            .expect("probe run completes")
+            .report;
         let window = (probe.makespan / target).max(1);
         let result = Sweep::new([workload.clone()])
             .workers([8])

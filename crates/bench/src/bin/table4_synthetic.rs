@@ -2,7 +2,7 @@
 //! benchmarks under the three HIL modes, 12 workers.
 
 use picos_bench::{f1, Table};
-use picos_hil::{run_hil, synthetic_metrics, HilConfig, HilMode};
+use picos_hil::{run_hil, HilConfig, HilMode};
 use picos_trace::gen::{synthetic, Case};
 
 /// One mode's reference row: (L1st, thrTask, thrDep) per synthetic case.
@@ -64,7 +64,7 @@ fn main() {
             let tr = synthetic(case);
             let cfg = HilConfig::balanced(12);
             let r = run_hil(&tr, mode, &cfg).expect("synthetic run completes");
-            let m = synthetic_metrics(&r, &tr);
+            let m = r.synthetic_metrics(tr.stats().avg_deps());
             l1st.push(format!("{} ({})", m.l1st, p.0));
             thr_t.push(format!("{} ({})", f1(m.thr_task), f1(p.1)));
             thr_d.push(match m.thr_dep {

@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use picos_backend::{BackendSpec, SweepResult};
+use picos_backend::{BackendSpec, SessionConfig, SweepResult};
 use picos_core::{PicosConfig, Stats, TsPolicy};
 use picos_hil::HilMode;
 use picos_runtime::ExecReport;
@@ -125,9 +125,12 @@ pub fn backend_report(
     workers: usize,
     picos: &PicosConfig,
 ) -> ExecReport {
-    spec.build(workers, picos)
-        .run(trace)
+    spec.builder(workers)
+        .picos(picos)
+        .build()
+        .run(trace, SessionConfig::batch())
         .unwrap_or_else(|e| panic!("{spec} run must complete: {e}"))
+        .report
 }
 
 /// Runs the trace through the Picos HIL platform and returns the report.
@@ -151,13 +154,15 @@ pub fn picos_report_with_stats(
     picos: PicosConfig,
     mode: HilMode,
 ) -> (ExecReport, Stats) {
-    let (report, stats) = BackendSpec::Picos(mode)
-        .build(workers, &picos)
-        .run_with_stats(trace)
+    let out = BackendSpec::Picos(mode)
+        .builder(workers)
+        .picos(&picos)
+        .build()
+        .run(trace, SessionConfig::batch())
         .expect("picos HIL run must complete");
     (
-        report,
-        stats.expect("picos backends report hardware counters"),
+        out.report,
+        out.stats.expect("picos backends report hardware counters"),
     )
 }
 

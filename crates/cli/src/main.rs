@@ -414,9 +414,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         trace_spans: trace_out.is_some() || want_cp,
         ..SessionConfig::batch()
     };
-    let mut out = backend
-        .run_with_telemetry(&trace, cfg)
-        .map_err(|e| e.to_string())?;
+    let mut out = backend.run(&trace, cfg).map_err(|e| e.to_string())?;
     note_stats(&out.stats);
     note_faults(&out.metrics);
     out.report.validate(&trace)?;

@@ -845,10 +845,10 @@ pub fn run_cluster(trace: &Trace, cfg: &ClusterConfig) -> Result<ExecReport, Clu
 /// processed dependences) sum across shards; `peak_*` high-water marks
 /// take the maximum — shards peak at different times, so summing their
 /// peaks would fabricate an occupancy no memory ever held. (Within one
-/// shard, [`PicosSystem::stats`] still sums its own per-TRS/per-DCT peaks:
-/// those describe disjoint memories of one accelerator, the
-/// [`Stats::merge_sum`] convention.) A one-shard cluster's merged stats
-/// equal the single system's stats bit-for-bit.
+/// shard, [`PicosSystem::stats`] still sums its own per-TRS/per-DCT peaks
+/// inline: those describe disjoint memories of one accelerator.) A
+/// one-shard cluster's merged stats equal the single system's stats
+/// bit-for-bit.
 pub fn merged_stats(per_shard: &[Stats]) -> Stats {
     let mut total = Stats::default();
     for s in per_shard {

@@ -230,31 +230,15 @@ impl Stats {
         for (_, rule, get, set) in Self::FIELDS {
             set(self, rule.apply(get(self), get(other)));
         }
-        self.merge_hists(other);
-    }
-
-    /// Histogram buckets are observation counts, so they sum under both
-    /// merge conventions (the [`FieldRow`] table is scalar-only; the
-    /// array-valued fields merge here).
-    fn merge_hists(&mut self, other: &Stats) {
+        // Histogram buckets are observation counts, so they sum (the
+        // `FieldRow` table is scalar-only; the array-valued fields
+        // merge here).
         for (a, b) in self.dm_chain_hist.iter_mut().zip(other.dm_chain_hist) {
             *a += b;
         }
         for (a, b) in self.trs_wake_hist.iter_mut().zip(other.trs_wake_hist) {
             *a += b;
         }
-    }
-
-    /// Accumulates another instance element-wise, summing *every* field,
-    /// peaks included. This is the intra-system convention of
-    /// [`crate::PicosSystem::stats`] — per-TRS/per-DCT peaks within one
-    /// accelerator describe disjoint memories, so their capacities (and
-    /// peaks) add. Use [`Stats::merge`] for cross-system aggregation.
-    pub fn merge_sum(&mut self, other: &Stats) {
-        for (_, _, get, set) in Self::FIELDS {
-            set(self, get(self) + get(other));
-        }
-        self.merge_hists(other);
     }
 
     /// The registry view of these counters: one metric per field, under
@@ -319,7 +303,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_totals_and_maxes_peaks() {
+    fn merge_adds_totals_and_maxes_peaks() {
         let mut a = Stats {
             tasks_submitted: 1,
             dm_conflicts: 2,
@@ -350,19 +334,6 @@ mod tests {
         let mut c = Stats::default();
         c.merge(&b);
         assert_eq!(c, b);
-        let mut c = Stats::default();
-        c.merge_sum(&b);
-        assert_eq!(c, b);
-    }
-
-    #[test]
-    fn merge_sum_regression_peaks_add_intra_system() {
-        // Old lossy cross-shard behaviour, now available only under its
-        // honest name: every field sums, peaks included.
-        let mut a = sample(1);
-        a.merge_sum(&sample(2));
-        assert_eq!(a.peak_ready, 3 * 12, "peak_ready is field 12 (1-based)");
-        assert_eq!(a.tasks_submitted, 3);
     }
 
     #[test]
@@ -392,9 +363,6 @@ mod tests {
         m.merge(&b);
         assert_eq!(m.dm_chain_hist[0], 7);
         assert_eq!(m.trs_wake_hist[2], 6);
-        let mut s = a.clone();
-        s.merge_sum(&b);
-        assert_eq!(s.dm_chain_hist[0], 7);
         // The registry view carries the same buckets.
         let view = m.metric_set();
         let picos_metrics::MetricValue::Histogram { bounds, counts } =

@@ -9,12 +9,12 @@
 //! # Quick example
 //!
 //! ```
-//! use picos_hil::{run_hil, synthetic_metrics, HilConfig, HilMode};
+//! use picos_hil::{run_hil, HilConfig, HilMode};
 //! use picos_trace::gen;
 //!
 //! let trace = gen::synthetic(gen::Case::Case2);
 //! let report = run_hil(&trace, HilMode::HwOnly, &HilConfig::balanced(12))?;
-//! let m = synthetic_metrics(&report, &trace);
+//! let m = report.synthetic_metrics(trace.stats().avg_deps());
 //! assert!(m.l1st > 0); // paper: 73 cycles
 //! # Ok::<(), picos_hil::HilError>(())
 //! ```
@@ -28,6 +28,6 @@ mod modes;
 mod pool;
 
 pub use cost::{HilCostModel, LinkModel};
-pub use metrics::{synthetic_metrics, SyntheticMetrics};
+pub use metrics::SyntheticMetrics;
 pub use modes::{run_hil, run_hil_with_stats, HilConfig, HilError, HilMode, HilSession};
 pub use pool::{Link, Workers};

@@ -13,23 +13,11 @@
 
 //!
 //! The extraction itself lives in `picos_metrics` and works on *any*
-//! engine's [`ExecReport`] (see [`ExecReport::synthetic_metrics`]); this
-//! module keeps the historical HIL-flavoured entry point that reads the
-//! average dependence count off the trace.
-
-use picos_runtime::ExecReport;
-use picos_trace::Trace;
+//! engine's [`ExecReport`](picos_runtime::ExecReport) through
+//! `ExecReport::synthetic_metrics(trace.stats().avg_deps())`; this module
+//! pins the HIL modes against the paper's magnitudes.
 
 pub use picos_metrics::SyntheticMetrics;
-
-/// Extracts the Table IV metrics from a run.
-///
-/// # Panics
-///
-/// Panics if the report is empty.
-pub fn synthetic_metrics(report: &ExecReport, trace: &Trace) -> SyntheticMetrics {
-    report.synthetic_metrics(trace.stats().avg_deps())
-}
 
 #[cfg(test)]
 mod tests {
@@ -41,7 +29,7 @@ mod tests {
         let tr = gen::synthetic(case);
         let cfg = HilConfig::balanced(12);
         let r = run_hil(&tr, mode, &cfg).unwrap();
-        synthetic_metrics(&r, &tr)
+        r.synthetic_metrics(tr.stats().avg_deps())
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! at a time ([`SessionCore::submit`]), honours `taskwait` barriers
 //! ([`SessionCore::barrier`]), advances simulated time on demand
 //! ([`SessionCore::advance_to`] / [`SessionCore::step`]) and reports
-//! schedule activity as [`SimEvent`]s. The batch `run(&Trace)` entry points
-//! are thin drivers over sessions ([`feed_trace`]).
+//! schedule activity as [`SimEvent`]s. The batch `run(trace, cfg)` entry
+//! point is a thin driver over a session ([`feed_trace`]).
 //!
 //! # Timing semantics
 //!
@@ -346,7 +346,7 @@ impl std::error::Error for FeedStall {}
 
 /// Feeds a whole trace into a session in creation order, declaring its
 /// taskwait barriers and draining backpressure with [`SessionCore::step`].
-/// This is the batch half of every `run(&Trace)` entry point; the caller
+/// This is the batch half of the `run(trace, cfg)` entry point; the caller
 /// finishes the session afterwards to obtain the report.
 ///
 /// # Errors

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.sequential_time() as f64
     );
 
-    let backend = BackendSpec::Cluster(4).build(16, &PicosConfig::balanced());
+    let backend = BackendSpec::Cluster(4).builder(16).build();
     println!(
         "backend: {} (4 shards, 16 workers), window 256\n",
         backend.name()

@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut picos_full = 0.0;
     let mut roofline = 0.0;
     for spec in BackendSpec::ALL {
-        let backend = spec.build(workers, &PicosConfig::balanced());
-        let report = backend.run(&trace)?;
+        let backend = spec.builder(workers).build();
+        let report = backend.run(&trace, SessionConfig::batch())?.report;
         // Every schedule must respect the dataflow graph.
         report.validate(&trace)?;
         println!("{:<14}  {:>7.2}", report.engine, report.speedup());

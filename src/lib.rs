@@ -62,13 +62,13 @@ pub use picos_trace as trace;
 /// Everything a typical experiment needs, importable in one line.
 pub mod prelude {
     pub use picos_backend::{
-        feed_trace, run_paced, run_paced_with_telemetry, Admission, ArrivalTrace, BackendBuilder,
+        feed_trace, run_paced, run_paced_full, Admission, ArrivalTrace, BackendBuilder,
         BackendError, BackendSpec, ClusterBackend, ExecBackend, PaceReport, PacedTask, PacedTrace,
         SessionConfig, SessionCore, SessionOutput, SimEvent, SimSession, Snapshot, Sweep,
         SweepResult, SweepRow, Workload,
     };
-    // `SyntheticMetrics` / `synthetic_metrics` come in through `picos_hil`
-    // above (the HIL-flavoured wrapper re-exports the metrics-crate type).
+    // `SyntheticMetrics` comes in through `picos_hil` below (re-exported
+    // from the metrics crate).
     pub use picos_cluster::{
         home_shard, merged_stats, run_cluster, run_cluster_with_stats, ClusterConfig, ClusterError,
         FaultCounters, FaultPlan, ShardPause, ShardPolicy, WorkerFault,
@@ -77,8 +77,8 @@ pub mod prelude {
         DmDesign, EngineError, FinishedReq, PicosConfig, PicosSystem, Timing, TsPolicy,
     };
     pub use picos_hil::{
-        run_hil, run_hil_with_stats, synthetic_metrics, HilConfig, HilCostModel, HilError, HilMode,
-        Link, LinkModel, SyntheticMetrics, Workers,
+        run_hil, run_hil_with_stats, HilConfig, HilCostModel, HilError, HilMode, Link, LinkModel,
+        SyntheticMetrics, Workers,
     };
     pub use picos_metrics::span;
     pub use picos_metrics::{

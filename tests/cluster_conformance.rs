@@ -10,7 +10,7 @@
 //! pinned on the invariants that must hold for *any* shard count:
 //! TaskGraph-order legality, completeness, and determinism.
 
-use picos_backend::BackendSpec;
+use picos_backend::{BackendSpec, SessionConfig};
 use picos_cluster::{run_cluster_with_stats, ClusterConfig, ShardPolicy};
 use picos_core::{DmDesign, PicosConfig};
 use picos_hil::{run_hil_with_stats, HilConfig, HilMode};
@@ -76,13 +76,19 @@ fn one_shard_backend_matches_hw_only_backend() {
     let trace = gen::cholesky(gen::CholeskyConfig::paper(128));
     let picos = PicosConfig::balanced();
     let hw = BackendSpec::Picos(HilMode::HwOnly)
-        .build(8, &picos)
-        .run(&trace)
-        .unwrap();
+        .builder(8)
+        .picos(&picos)
+        .build()
+        .run(&trace, SessionConfig::batch())
+        .unwrap()
+        .report;
     let cl = BackendSpec::Cluster(1)
-        .build(8, &picos)
-        .run(&trace)
-        .unwrap();
+        .builder(8)
+        .picos(&picos)
+        .build()
+        .run(&trace, SessionConfig::batch())
+        .unwrap()
+        .report;
     assert_eq!(cl.makespan, hw.makespan);
     assert_eq!(cl.order, hw.order);
 }
@@ -127,9 +133,9 @@ fn placement_policies_agree_on_legality() {
 fn cluster_is_deterministic_through_the_backend() {
     let trace = gen::stream(gen::StreamConfig::heavy(500));
     let picos = PicosConfig::balanced();
-    let backend = BackendSpec::Cluster(4).build(16, &picos);
-    let a = backend.run(&trace).unwrap();
-    let b = backend.run(&trace).unwrap();
+    let backend = BackendSpec::Cluster(4).builder(16).picos(&picos).build();
+    let a = backend.run(&trace, SessionConfig::batch()).unwrap().report;
+    let b = backend.run(&trace, SessionConfig::batch()).unwrap().report;
     assert_eq!(a, b);
 }
 
@@ -200,7 +206,6 @@ fn parallel_engine_matches_serial_with_attached_timelines() {
     // equal the serial run exactly. This pins the fallback: if the
     // parallel engine ever runs under a sampler and skews a window, this
     // breaks.
-    use picos_backend::SessionConfig;
     let trace = gen::stream(gen::StreamConfig::heavy(600));
     let cfg = SessionConfig {
         timeline_window: Some(1_000),
@@ -211,7 +216,7 @@ fn parallel_engine_matches_serial_with_attached_timelines() {
             .builder(WORKERS)
             .threads(Some(threads))
             .build()
-            .run_with_telemetry(&trace, cfg)
+            .run(&trace, cfg)
             .expect("cluster completes")
     };
     let serial = run(1);

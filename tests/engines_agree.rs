@@ -13,7 +13,7 @@ use picos_repro::prelude::*;
 fn all_backends(workers: usize) -> Vec<Box<dyn ExecBackend>> {
     BackendSpec::ALL
         .iter()
-        .map(|spec| spec.build(workers, &PicosConfig::balanced()))
+        .map(|spec| spec.builder(workers).build())
         .collect()
 }
 
@@ -27,8 +27,9 @@ fn all_engines_legal_on_all_apps() {
             let trace = app.generate(bs);
             for backend in all_backends(8) {
                 let r = backend
-                    .run(&trace)
-                    .unwrap_or_else(|e| panic!("{} {app} bs {bs}: {e}", backend.name()));
+                    .run(&trace, SessionConfig::batch())
+                    .unwrap_or_else(|e| panic!("{} {app} bs {bs}: {e}", backend.name()))
+                    .report;
                 r.validate(&trace)
                     .unwrap_or_else(|e| panic!("{} {app} bs {bs}: {e}", backend.name()));
             }
@@ -49,7 +50,7 @@ fn perfect_dominates_and_bounds_hold() {
         for w in [2usize, 8, 16] {
             let roofline = perfect_schedule(&trace, w).speedup();
             for backend in all_backends(w) {
-                let r = backend.run(&trace).unwrap();
+                let r = backend.run(&trace, SessionConfig::batch()).unwrap().report;
                 assert!(
                     roofline + 1e-9 >= r.speedup(),
                     "{app} w{w}: {} {} beat roofline {roofline}",
@@ -78,8 +79,11 @@ fn dm_designs_all_legal() {
     for app in [gen::App::Heat, gen::App::Lu] {
         let trace = app.generate(app.paper_block_sizes()[1]);
         for dm in DmDesign::ALL {
-            let backend = BackendSpec::Picos(HilMode::HwOnly).build(12, &PicosConfig::baseline(dm));
-            let r = backend.run(&trace).unwrap();
+            let backend = BackendSpec::Picos(HilMode::HwOnly)
+                .builder(12)
+                .picos(&PicosConfig::baseline(dm))
+                .build();
+            let r = backend.run(&trace, SessionConfig::batch()).unwrap().report;
             r.validate(&trace)
                 .unwrap_or_else(|e| panic!("{app} {dm}: {e}"));
         }
@@ -93,8 +97,10 @@ fn future_architecture_legal() {
     let trace = gen::cholesky(gen::CholeskyConfig::paper(64));
     for n in [1usize, 2, 4] {
         let backend = BackendSpec::Picos(HilMode::HwOnly)
-            .build(16, &PicosConfig::future(n, DmDesign::PearsonEightWay));
-        let r = backend.run(&trace).unwrap();
+            .builder(16)
+            .picos(&PicosConfig::future(n, DmDesign::PearsonEightWay))
+            .build();
+        let r = backend.run(&trace, SessionConfig::batch()).unwrap().report;
         r.validate(&trace)
             .unwrap_or_else(|e| panic!("{n}x{n}: {e}"));
         assert_eq!(r.order.len(), trace.len());
@@ -107,9 +113,9 @@ fn future_architecture_legal() {
 fn determinism_across_engines() {
     let trace = gen::sparselu(gen::SparseLuConfig::paper(64));
     for spec in BackendSpec::ALL {
-        let backend = spec.build(12, &PicosConfig::balanced());
-        let a = backend.run(&trace).unwrap();
-        let b = backend.run(&trace).unwrap();
+        let backend = spec.builder(12).build();
+        let a = backend.run(&trace, SessionConfig::batch()).unwrap().report;
+        let b = backend.run(&trace, SessionConfig::batch()).unwrap().report;
         assert_eq!(a, b, "{spec}");
     }
 }
@@ -122,7 +128,7 @@ fn single_worker_serializes() {
     let seq = trace.sequential_time();
     assert_eq!(perfect_schedule(&trace, 1).makespan, seq);
     for backend in all_backends(1) {
-        let r = backend.run(&trace).unwrap();
+        let r = backend.run(&trace, SessionConfig::batch()).unwrap().report;
         assert!(
             r.makespan >= seq,
             "{}: {} below sequential {seq}",
@@ -138,13 +144,18 @@ fn lifo_schedule_is_legal_and_different() {
     let trace = gen::lu(gen::LuConfig::paper(64));
     let spec = BackendSpec::Picos(HilMode::HwOnly);
     let fifo = spec
-        .build(12, &PicosConfig::balanced())
-        .run(&trace)
-        .unwrap();
+        .builder(12)
+        .build()
+        .run(&trace, SessionConfig::batch())
+        .unwrap()
+        .report;
     let lifo = spec
-        .build(12, &PicosConfig::balanced().with_ts_policy(TsPolicy::Lifo))
-        .run(&trace)
-        .unwrap();
+        .builder(12)
+        .picos(&PicosConfig::balanced().with_ts_policy(TsPolicy::Lifo))
+        .build()
+        .run(&trace, SessionConfig::batch())
+        .unwrap()
+        .report;
     lifo.validate(&trace).unwrap();
     assert_ne!(fifo.order, lifo.order, "policies must differ on Lu");
 }
@@ -155,9 +166,10 @@ fn lifo_schedule_is_legal_and_different() {
 fn engine_labels() {
     let trace = gen::synthetic(gen::Case::Case1);
     for spec in BackendSpec::ALL {
-        let backend = spec.build(2, &PicosConfig::balanced());
+        let backend = spec.builder(2).build();
         assert_eq!(backend.name(), spec.label());
-        assert_eq!(backend.run(&trace).unwrap().engine, spec.label());
+        let out = backend.run(&trace, SessionConfig::batch()).unwrap();
+        assert_eq!(out.report.engine, spec.label());
     }
     assert_eq!(BackendSpec::Picos(HilMode::HwOnly).label(), "picos-hw-only");
     assert_eq!(BackendSpec::Picos(HilMode::HwComm).label(), "picos-hw-comm");

@@ -118,7 +118,7 @@ fn fault_telemetry_is_gated_on_active_plans() {
             .builder(8)
             .faults(faults)
             .build()
-            .run_with_telemetry(&trace, cfg)
+            .run(&trace, cfg)
             .expect("cluster completes")
     };
     let plain = run(None);

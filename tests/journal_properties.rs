@@ -65,7 +65,7 @@ fn backpressured_offers_are_never_journaled() {
             BackendSpec::Nanos,
             BackendSpec::Cluster(2),
         ] {
-            let backend = spec.build(2, &PicosConfig::balanced());
+            let backend = spec.builder(2).build();
             let (r, journal, rejected) = drive_journaled(&*backend, &trace, window);
             assert_eq!(r.order.len(), trace.len(), "seed {seed} {spec}");
             assert_eq!(
@@ -101,7 +101,7 @@ fn replayed_journals_never_contain_rejected_ops() {
         }
     }
     for spec in BackendSpec::ALL {
-        let backend = spec.build(4, &PicosConfig::balanced());
+        let backend = spec.builder(4).build();
         let (solo, journal, rejected) = drive_journaled(&*backend, &trace, 3);
         assert!(rejected > 0, "{spec}: a 3-task window must push back");
 

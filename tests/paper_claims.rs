@@ -156,9 +156,10 @@ fn table4_mode_ordering_and_amortization() {
     let hw = run_hil(&case3, HilMode::HwOnly, &cfg).unwrap();
     let comm = run_hil(&case3, HilMode::HwComm, &cfg).unwrap();
     let full = run_hil(&case3, HilMode::FullSystem, &cfg).unwrap();
-    let m_hw = synthetic_metrics(&hw, &case3);
-    let m_comm = synthetic_metrics(&comm, &case3);
-    let m_full = synthetic_metrics(&full, &case3);
+    let avg = case3.stats().avg_deps();
+    let m_hw = hw.synthetic_metrics(avg);
+    let m_comm = comm.synthetic_metrics(avg);
+    let m_full = full.synthetic_metrics(avg);
     assert!(m_hw.thr_task < m_comm.thr_task);
     assert!(m_comm.thr_task < m_full.thr_task);
     // thrDep for 15-dep tasks amortizes to near the DCT interval in HW-only
@@ -190,9 +191,11 @@ fn table3_resource_story() {
 fn lessons_transfer_overhead_dominates() {
     let case2 = gen::synthetic(gen::Case::Case2);
     let cfg = HilConfig::balanced(12);
-    let m_hw = synthetic_metrics(&run_hil(&case2, HilMode::HwOnly, &cfg).unwrap(), &case2);
-    let m_comm = synthetic_metrics(&run_hil(&case2, HilMode::HwComm, &cfg).unwrap(), &case2);
-    let m_full = synthetic_metrics(&run_hil(&case2, HilMode::FullSystem, &cfg).unwrap(), &case2);
+    let avg = case2.stats().avg_deps();
+    let metrics = |mode| run_hil(&case2, mode, &cfg).unwrap().synthetic_metrics(avg);
+    let m_hw = metrics(HilMode::HwOnly);
+    let m_comm = metrics(HilMode::HwComm);
+    let m_full = metrics(HilMode::FullSystem);
     assert!(
         m_comm.thr_task > 10.0 * m_hw.thr_task,
         "communication must dwarf hardware time: {} vs {}",

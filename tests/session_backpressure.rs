@@ -56,7 +56,7 @@ fn submit_backpressures_exactly_at_the_window_on_every_backend() {
     let trace = gen::synthetic(gen::Case::Case2);
     for spec in BackendSpec::ALL {
         for window in [1usize, 3, 16] {
-            let backend = spec.build(4, &PicosConfig::balanced());
+            let backend = spec.builder(4).build();
             let (r, backpressured) = drive_checked(&*backend, &trace, window);
             assert_eq!(
                 r.order.len(),
@@ -93,13 +93,13 @@ fn tiny_tm_capacity_backpressures_but_never_drops() {
         BackendSpec::Picos(picos_repro::hil::HilMode::HwOnly),
         BackendSpec::Cluster(2),
     ] {
-        let backend = spec.build(4, &cfg);
+        let backend = spec.builder(4).picos(&cfg).build();
         let (r, backpressured) = drive_checked(&*backend, &trace, 8);
         assert_eq!(r.order.len(), 400, "{spec}: tasks were dropped");
         r.validate(&trace).unwrap();
         assert!(backpressured > 0, "{spec}: 8-task window must push back");
         // The hardware stall is visible in the counters too.
-        let (_, stats) = backend.run_with_stats(&trace).unwrap();
+        let stats = backend.run(&trace, SessionConfig::batch()).unwrap().stats;
         let stats = stats.unwrap();
         assert!(
             stats.tm_stalls > 0,
@@ -113,7 +113,7 @@ fn window_one_serializes_admission() {
     // The tightest window: at most one task in flight; the session
     // degenerates to closed-loop submit-wait-complete.
     let trace = gen::synthetic(gen::Case::Case1);
-    let backend = BackendSpec::Perfect.build(8, &PicosConfig::balanced());
+    let backend = BackendSpec::Perfect.builder(8).build();
     let mut s = backend.open_with(SessionConfig::windowed(1)).unwrap();
     for task in trace.iter() {
         loop {
@@ -167,7 +167,7 @@ fn tiny_windows_coexist_with_taskwaits() {
     trace.push_taskwait();
     trace.push(k, [], 100);
     for spec in BackendSpec::ALL {
-        let backend = spec.build(4, &PicosConfig::balanced());
+        let backend = spec.builder(4).build();
         let mut s = backend.open_with(SessionConfig::windowed(1)).unwrap();
         feed_trace(&mut *s, &trace).unwrap();
         let (r, _) = s.finish().unwrap();

@@ -3,7 +3,7 @@
 //! For every backend family × every synthetic testcase plus the Cholesky
 //! and SparseLU applications, a session driven one task at a time — and
 //! one driven with a random interleaving of submits, steps and event
-//! drains — must reproduce the batch `run_with_stats` result exactly:
+//! drains — must reproduce the batch `run` result exactly:
 //! makespan, schedule order, per-task start/end times and hardware
 //! counters. This pins the core promise of the session API: submission
 //! call patterns never perturb the simulation, because the engine's own
@@ -20,6 +20,15 @@ fn workloads() -> Vec<Trace> {
     out.push(gen::cholesky(gen::CholeskyConfig::paper(128)));
     out.push(gen::sparselu(gen::SparseLuConfig::paper(128)));
     out
+}
+
+/// The batch run's schedule and hardware counters.
+fn run_batch(
+    backend: &dyn ExecBackend,
+    trace: &Trace,
+) -> (ExecReport, Option<picos_repro::core::Stats>) {
+    let out = backend.run(trace, SessionConfig::batch()).unwrap();
+    (out.report, out.stats)
 }
 
 /// Feeds the trace one task at a time, declaring barriers, stepping on
@@ -92,8 +101,8 @@ fn drive_randomly(
 fn one_at_a_time_sessions_are_bit_exact_with_batch() {
     for trace in workloads() {
         for spec in BackendSpec::ALL {
-            let backend = spec.build(8, &PicosConfig::balanced());
-            let batch = backend.run_with_stats(&trace).unwrap();
+            let backend = spec.builder(8).build();
+            let batch = run_batch(&*backend, &trace);
             let streamed = drive_one_at_a_time(&*backend, &trace);
             assert_eq!(
                 batch, streamed,
@@ -108,8 +117,8 @@ fn one_at_a_time_sessions_are_bit_exact_with_batch() {
 fn random_interleavings_are_bit_exact_with_batch() {
     for trace in workloads() {
         for spec in BackendSpec::ALL {
-            let backend = spec.build(8, &PicosConfig::balanced());
-            let batch = backend.run_with_stats(&trace).unwrap();
+            let backend = spec.builder(8).build();
+            let batch = run_batch(&*backend, &trace);
             for seed in [0x5EED, 0xD1CE] {
                 let streamed = drive_randomly(&*backend, &trace, seed);
                 assert_eq!(
@@ -130,10 +139,7 @@ fn parallel_cluster_sessions_are_bit_exact_with_serial_batch() {
     // (Feeds still admit through the serial path; the epoch engine takes
     // over once the input stream closes or the session jumps time.)
     for trace in workloads() {
-        let serial = BackendSpec::Cluster(4)
-            .build(8, &PicosConfig::balanced())
-            .run_with_stats(&trace)
-            .unwrap();
+        let serial = run_batch(&*BackendSpec::Cluster(4).builder(8).build(), &trace);
         for threads in [2usize, 4] {
             let backend = BackendSpec::Cluster(4)
                 .builder(8)
@@ -161,13 +167,19 @@ fn parallel_cluster_sessions_are_bit_exact_with_serial_batch() {
 
 #[test]
 fn batch_default_methods_agree_with_each_other() {
-    // run() must be run_with_stats() minus the counters, for every family.
+    // The one batch entry point reports the same schedule and counters
+    // under every observation knob, for every family.
     let trace = gen::synthetic(gen::Case::Case4);
     for spec in BackendSpec::ALL {
-        let backend = spec.build(6, &PicosConfig::balanced());
-        let (with_stats, _) = backend.run_with_stats(&trace).unwrap();
-        let plain = backend.run(&trace).unwrap();
-        assert_eq!(with_stats, plain, "{spec}");
+        let backend = spec.builder(6).build();
+        let plain = run_batch(&*backend, &trace);
+        for cfg in [
+            SessionConfig::timed(500),
+            SessionConfig::batch().with_spans(),
+        ] {
+            let observed = backend.run(&trace, cfg).unwrap();
+            assert_eq!(plain, (observed.report, observed.stats), "{spec}");
+        }
     }
 }
 
@@ -177,7 +189,7 @@ fn open_sessions_hold_time_while_unblocked() {
     // advances its clock on step(), for every backend family.
     let trace = gen::synthetic(gen::Case::Case1);
     for spec in BackendSpec::ALL {
-        let backend = spec.build(4, &PicosConfig::balanced());
+        let backend = spec.builder(4).build();
         let mut s = backend.open().unwrap();
         for task in trace.iter().take(10) {
             assert_eq!(s.submit(task), Admission::Accepted, "{spec}");
@@ -207,8 +219,8 @@ fn taskwait_traces_stream_bit_exact() {
         tr.push(k, [], 75);
     }
     for spec in BackendSpec::ALL {
-        let backend = spec.build(4, &PicosConfig::balanced());
-        let batch = backend.run_with_stats(&tr).unwrap();
+        let backend = spec.builder(4).build();
+        let batch = run_batch(&*backend, &tr);
         let streamed = drive_one_at_a_time(&*backend, &tr);
         assert_eq!(batch, streamed, "{spec}");
         batch.0.validate(&tr).unwrap();
@@ -221,7 +233,7 @@ fn events_describe_the_reported_schedule() {
     // one finish per task, at the report's recorded cycles.
     let trace = gen::synthetic(gen::Case::Case3);
     for spec in BackendSpec::ALL {
-        let backend = spec.build(8, &PicosConfig::balanced());
+        let backend = spec.builder(8).build();
         let mut s = backend
             .open_with(SessionConfig {
                 collect_events: true,

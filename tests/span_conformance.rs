@@ -33,9 +33,9 @@ fn families() -> Vec<BackendSpec> {
 }
 
 fn traced(spec: BackendSpec, trace: &Trace) -> SessionOutput {
-    let backend = spec.build(8, &PicosConfig::balanced());
+    let backend = spec.builder(8).build();
     backend
-        .run_with_telemetry(trace, SessionConfig::batch().with_spans())
+        .run(trace, SessionConfig::batch().with_spans())
         .unwrap_or_else(|e| panic!("{spec}: {e}"))
 }
 
@@ -47,7 +47,7 @@ fn cluster_log(trace: &Trace, shards: usize, threads: usize) -> SpanLog {
         .threads(Some(threads))
         .build();
     let mut log = backend
-        .run_with_telemetry(trace, SessionConfig::batch().with_spans())
+        .run(trace, SessionConfig::batch().with_spans())
         .unwrap()
         .spans
         .expect("span tracing was requested");
@@ -59,12 +59,10 @@ fn cluster_log(trace: &Trace, shards: usize, threads: usize) -> SpanLog {
 fn spans_are_observation_only_everywhere() {
     let trace = gen::cholesky(gen::CholeskyConfig::paper(128));
     for spec in families() {
-        let backend = spec.build(8, &PicosConfig::balanced());
-        let plain = backend
-            .run_with_telemetry(&trace, SessionConfig::timed(500))
-            .unwrap();
+        let backend = spec.builder(8).build();
+        let plain = backend.run(&trace, SessionConfig::timed(500)).unwrap();
         let spanned = backend
-            .run_with_telemetry(&trace, SessionConfig::timed(500).with_spans())
+            .run(&trace, SessionConfig::timed(500).with_spans())
             .unwrap();
         assert_eq!(
             spanned.report, plain.report,
@@ -89,7 +87,7 @@ fn spans_are_observation_only_everywhere() {
         assert!(!log.is_empty(), "{spec}: a run records events");
         // Determinism: the same traced run records the same log.
         let again = backend
-            .run_with_telemetry(&trace, SessionConfig::timed(500).with_spans())
+            .run(&trace, SessionConfig::timed(500).with_spans())
             .unwrap();
         assert_eq!(again.spans.unwrap(), log, "{spec}: log not deterministic");
     }
@@ -209,9 +207,9 @@ fn fault_retries_appear_as_message_spans_and_stay_observation_only() {
             .faults(Some(plan.clone()))
             .build()
     };
-    let plain = build().run(&trace).unwrap();
+    let plain = build().run(&trace, SessionConfig::batch()).unwrap().report;
     let out = build()
-        .run_with_telemetry(&trace, SessionConfig::batch().with_spans())
+        .run(&trace, SessionConfig::batch().with_spans())
         .unwrap();
     assert_eq!(out.report, plain, "spans changed a faulty run");
     let log = out.spans.expect("spans were requested");

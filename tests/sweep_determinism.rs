@@ -66,7 +66,12 @@ fn sweep_rows_match_direct_backend_runs() {
         .backends(BackendSpec::ALL)
         .run();
     for (row, spec) in result.rows().iter().zip(BackendSpec::ALL) {
-        let direct = spec.build(4, &PicosConfig::balanced()).run(&trace).unwrap();
+        let direct = spec
+            .builder(4)
+            .build()
+            .run(&trace, SessionConfig::batch())
+            .unwrap()
+            .report;
         assert_eq!(row.backend, spec);
         assert_eq!(row.makespan, direct.makespan, "{spec}");
         assert_eq!(row.sequential, direct.sequential, "{spec}");
@@ -75,7 +80,7 @@ fn sweep_rows_match_direct_backend_runs() {
 }
 
 #[test]
-fn filter_and_fail_fast_are_reported_per_row() {
+fn filter_and_errors_are_reported_per_row() {
     // An impossible cell (zero workers) errors without failing the sweep.
     let result = Sweep::over_apps([App::Cholesky], [256])
         .workers([0, 4])

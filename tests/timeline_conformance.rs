@@ -27,9 +27,9 @@ fn families() -> Vec<BackendSpec> {
 }
 
 fn telemetry(spec: BackendSpec, trace: &Trace) -> SessionOutput {
-    let backend = spec.build(8, &PicosConfig::balanced());
+    let backend = spec.builder(8).build();
     backend
-        .run_with_telemetry(trace, SessionConfig::timed(WINDOW))
+        .run(trace, SessionConfig::timed(WINDOW))
         .unwrap_or_else(|e| panic!("{spec}: {e}"))
 }
 
@@ -48,10 +48,8 @@ fn identical_timelines_on_repeated_runs() {
 fn batch_session_and_paced_paths_agree() {
     let trace = gen::sparselu(gen::SparseLuConfig::paper(128));
     for spec in families() {
-        let backend = spec.build(8, &PicosConfig::balanced());
-        let batch = backend
-            .run_with_telemetry(&trace, SessionConfig::timed(WINDOW))
-            .unwrap();
+        let backend = spec.builder(8).build();
+        let batch = backend.run(&trace, SessionConfig::timed(WINDOW)).unwrap();
         // Hand-driven streaming session, one task at a time.
         let mut s = backend.open_with(SessionConfig::timed(WINDOW)).unwrap();
         feed_trace(&mut *s, &trace).unwrap();
@@ -60,9 +58,12 @@ fn batch_session_and_paced_paths_agree() {
         // Paced driver at interarrival 0: every task arrives at cycle 0,
         // exactly the batch arrival pattern — the engine-side timeline
         // (the non-`pace.` columns) must match the batch run's.
-        let paced =
-            run_paced_with_telemetry(&*backend, PacedTrace::new(&trace, 0), None, Some(WINDOW))
-                .unwrap();
+        let paced = run_paced_full(
+            &*backend,
+            PacedTrace::new(&trace, 0),
+            SessionConfig::timed(WINDOW),
+        )
+        .unwrap();
         assert_eq!(paced.report, batch.report, "{spec}: paced-0 != batch");
         let batch_tl = batch.timeline.expect("batch timeline requested");
         let paced_tl = paced.timeline.expect("paced timeline requested");
@@ -82,13 +83,11 @@ fn batch_session_and_paced_paths_agree() {
 fn telemetry_is_observation_only() {
     let trace = gen::cholesky(gen::CholeskyConfig::paper(128));
     for spec in families() {
-        let backend = spec.build(8, &PicosConfig::balanced());
-        let (plain_report, plain_stats) = backend.run_with_stats(&trace).unwrap();
-        let timed = backend
-            .run_with_telemetry(&trace, SessionConfig::timed(WINDOW))
-            .unwrap();
-        assert_eq!(timed.report, plain_report, "{spec}: probes changed a cycle");
-        assert_eq!(timed.stats, plain_stats, "{spec}: probes changed a counter");
+        let backend = spec.builder(8).build();
+        let plain = backend.run(&trace, SessionConfig::batch()).unwrap();
+        let timed = backend.run(&trace, SessionConfig::timed(WINDOW)).unwrap();
+        assert_eq!(timed.report, plain.report, "{spec}: probes changed a cycle");
+        assert_eq!(timed.stats, plain.stats, "{spec}: probes changed a counter");
     }
 }
 
@@ -169,9 +168,13 @@ fn cluster_timeline_scopes_every_shard_and_link() {
 #[test]
 fn paced_driver_records_windowed_backpressure() {
     let trace = gen::stream(gen::StreamConfig::heavy(400));
-    let backend = BackendSpec::Picos(HilMode::HwOnly).build(2, &PicosConfig::balanced());
-    let r = run_paced_with_telemetry(&*backend, PacedTrace::new(&trace, 1), Some(8), Some(WINDOW))
-        .unwrap();
+    let backend = BackendSpec::Picos(HilMode::HwOnly).builder(2).build();
+    let r = run_paced_full(
+        &*backend,
+        PacedTrace::new(&trace, 1),
+        SessionConfig::windowed(8).with_timeline(WINDOW),
+    )
+    .unwrap();
     assert!(r.backpressured_tasks > 0, "rate 1/cycle must saturate");
     let tl = r.timeline.expect("timeline requested");
     let bp = tl.column("pace.backpressured").expect("driver series");
@@ -227,14 +230,21 @@ fn sweep_cells_record_timelines() {
 
 #[test]
 fn table_iv_extraction_works_on_any_backend() {
-    // The deduped Table IV extraction: the report method and the HIL
-    // wrapper agree, and the extraction runs on non-HIL reports too.
+    // The deduped Table IV extraction: the HIL runner's report and the
+    // backend's report extract the same metrics, and the extraction runs
+    // on non-HIL reports too.
     let trace = gen::synthetic(gen::Case::Case2);
     let avg = trace.stats().avg_deps();
     let hil = run_hil(&trace, HilMode::HwOnly, &HilConfig::balanced(12)).unwrap();
-    assert_eq!(hil.synthetic_metrics(avg), synthetic_metrics(&hil, &trace));
+    let backend = BackendSpec::Picos(HilMode::HwOnly).builder(12).build();
+    let via_backend = backend.run(&trace, SessionConfig::batch()).unwrap();
+    assert_eq!(
+        hil.synthetic_metrics(avg),
+        via_backend.report.synthetic_metrics(avg)
+    );
     for spec in families() {
-        let r = spec.build(8, &PicosConfig::balanced()).run(&trace).unwrap();
+        let backend = spec.builder(8).build();
+        let r = backend.run(&trace, SessionConfig::batch()).unwrap().report;
         let m = r.synthetic_metrics(avg);
         assert!(m.thr_task >= 0.0, "{spec}");
         assert!(m.thr_dep.is_some(), "{spec}: case2 has dependences");
@@ -245,8 +255,8 @@ fn table_iv_extraction_works_on_any_backend() {
 fn zero_timeline_window_is_a_config_error_everywhere() {
     let trace = gen::synthetic(gen::Case::Case1);
     for spec in families() {
-        let backend = spec.build(4, &PicosConfig::balanced());
-        let r = backend.run_with_telemetry(&trace, SessionConfig::timed(0));
+        let backend = spec.builder(4).build();
+        let r = backend.run(&trace, SessionConfig::timed(0));
         assert!(r.is_err(), "{spec}: zero window must be rejected");
     }
 }
