@@ -103,16 +103,6 @@ pub trait ExecBackend: Send + Sync + fmt::Debug {
     /// (e.g. zero workers).
     fn open_with(&self, cfg: SessionConfig) -> Result<Box<dyn SimSession>, BackendError>;
 
-    /// Opens a streaming session with batch-equivalent defaults
-    /// (unbounded window, no event collection).
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecBackend::open_with`].
-    fn open(&self) -> Result<Box<dyn SimSession>, BackendError> {
-        self.open_with(SessionConfig::batch())
-    }
-
     /// Runs the trace to completion under explicit session knobs: opens a
     /// session, feeds every task in creation order (declaring the trace's
     /// taskwaits) and finishes it, returning everything the run produced
@@ -662,7 +652,7 @@ mod tests {
         for spec in BackendSpec::ALL {
             let b = spec.builder(4).build();
             let batch = report_and_stats(&*b, &tr);
-            let mut s = b.open().unwrap();
+            let mut s = b.open_with(SessionConfig::batch()).unwrap();
             feed_trace(&mut *s, &tr).unwrap();
             let streamed = s.finish().unwrap();
             assert_eq!(batch, streamed, "{spec}");

@@ -6,7 +6,7 @@
 //! software runtime, the zero-overhead perfect scheduler and the sharded
 //! cluster. This crate puts all of them behind one trait, [`ExecBackend`],
 //! whose primary interface is the incremental, backpressure-aware
-//! [`SimSession`] (`open` → `submit`/`barrier`/`advance_to`/`step` →
+//! [`SimSession`] (`open_with` → `submit`/`barrier`/`advance_to`/`step` →
 //! `finish`); the batch `run(&Trace, SessionConfig)` entry point is a
 //! default method over a session. On top sit the [`Sweep`] harness — a
 //! declarative experiment grid (workloads × workers × backends × DM
@@ -35,14 +35,14 @@
 //! # Streaming a session
 //!
 //! ```
-//! use picos_backend::{Admission, BackendSpec, SessionCore};
+//! use picos_backend::{Admission, BackendSpec, SessionConfig, SessionCore};
 //! use picos_trace::gen;
 //!
 //! let trace = gen::synthetic(gen::Case::Case1);
 //! let backend = BackendSpec::Picos(picos_hil::HilMode::HwOnly)
 //!     .builder(4)
 //!     .build();
-//! let mut session = backend.open()?;
+//! let mut session = backend.open_with(SessionConfig::batch())?;
 //! for task in trace.iter() {
 //!     while session.submit(task) == Admission::Backpressured {
 //!         // step() returns false when the session cannot progress —
@@ -78,8 +78,8 @@ pub use picos_metrics::{
     MergeRule, Metric, MetricSet, MetricValue, SeriesKind, SeriesSpec, Timeline,
 };
 pub use session::{
-    feed_trace, Admission, FeedStall, SessionConfig, SessionCore, SessionOutput, SimEvent,
-    SimSession,
+    feed_range, feed_trace, Admission, FeedStall, SessionConfig, SessionCore, SessionOutput,
+    SimEvent, SimSession,
 };
 pub use snap::Snapshot;
 pub use sweep::{Sweep, SweepCell, SweepResult, SweepRow, Workload};

@@ -20,7 +20,7 @@ use picos_trace::{SnapError, Value};
 use std::fmt;
 
 pub use picos_runtime::session::{
-    feed_trace, Admission, FeedStall, SessionConfig, SessionCore, SimEvent,
+    feed_range, feed_trace, Admission, FeedStall, SessionConfig, SessionCore, SimEvent,
 };
 
 /// Everything a finished session reports: the schedule, the engine's
@@ -78,8 +78,7 @@ fn plain_output(
     }
 }
 
-/// A streaming execution session, opened with `ExecBackend::open` /
-/// `open_with`.
+/// A streaming execution session, opened with `ExecBackend::open_with`.
 ///
 /// Drive it with the [`SessionCore`] interface — `submit` tasks (handling
 /// [`Admission::Backpressured`]), declare `barrier`s, `advance_to` arrival

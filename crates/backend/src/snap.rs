@@ -88,12 +88,12 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::backends::{BackendSpec, ExecBackend};
-    use crate::session::{feed_trace, Admission, SessionConfig, SessionCore};
+    use crate::session::{feed_range, feed_trace, Admission, SessionConfig, SessionCore};
     use picos_hil::HilMode;
     use picos_runtime::{replay_journal, replay_journal_tail, JournaledSession};
     use picos_trace::rng::SplitMix64;
     use picos_trace::{
-        gen, Dependence, JournalOp, KernelClass, SessionJournal, TaskDescriptor, TaskId, Trace,
+        gen, Dependence, JournalOp, KernelClass, SessionJournal, TaskDescriptor, TaskId,
     };
 
     /// Every engine family, plus a genuinely sharded cluster (the `ALL`
@@ -107,24 +107,6 @@ mod tests {
 
     fn build(spec: BackendSpec) -> Box<dyn ExecBackend> {
         spec.builder(4).build()
-    }
-
-    /// Feeds `trace[range]` like the batch loop: the barrier at position
-    /// `i` is declared right before task `i`, backpressure drains via
-    /// `step`.
-    fn feed_range(s: &mut dyn SimSession, tr: &Trace, range: std::ops::Range<usize>) {
-        for i in range {
-            if tr.barriers().contains(&(i as u32)) {
-                s.barrier();
-            }
-            let task = &tr.tasks()[i];
-            loop {
-                match s.submit(task) {
-                    Admission::Accepted => break,
-                    Admission::Backpressured => assert!(s.step(), "feed stall at {i}"),
-                }
-            }
-        }
     }
 
     #[test]
@@ -145,16 +127,16 @@ mod tests {
         for spec in families() {
             let b = build(spec);
             let mut cont = b.open_with(cfg).unwrap();
-            feed_range(&mut *cont, &tr, 0..tr.len());
+            feed_range(&mut *cont, &tr, 0..tr.len()).unwrap();
             let expected = cont.finish_full().unwrap();
             for cut in [0, tr.len() / 3, tr.len() - 1] {
                 let mut live = b.open_with(cfg).unwrap();
-                feed_range(&mut *live, &tr, 0..cut);
+                feed_range(&mut *live, &tr, 0..cut).unwrap();
                 let snap = Snapshot::capture(&*live);
                 let snap = Snapshot::from_json(&snap.to_json()).unwrap();
                 let mut restored = b.open_with(cfg).unwrap();
                 snap.restore(&mut *restored).unwrap();
-                feed_range(&mut *restored, &tr, cut..tr.len());
+                feed_range(&mut *restored, &tr, cut..tr.len()).unwrap();
                 let out = restored.finish_full().unwrap();
                 assert_eq!(out, expected, "{spec} cut {cut}");
             }
@@ -167,20 +149,20 @@ mod tests {
         let half = tr.len() / 2;
         for spec in families() {
             let b = build(spec);
-            let mut cont = b.open().unwrap();
-            feed_range(&mut *cont, &tr, 0..tr.len());
+            let mut cont = b.open_with(SessionConfig::batch()).unwrap();
+            feed_range(&mut *cont, &tr, 0..tr.len()).unwrap();
             let expected = cont.finish_full().unwrap();
 
-            let mut live = b.open().unwrap();
-            feed_range(&mut *live, &tr, 0..half);
+            let mut live = b.open_with(SessionConfig::batch()).unwrap();
+            feed_range(&mut *live, &tr, 0..half).unwrap();
             let baseline = live.save_state();
             let mut fork = live.fork_boxed();
-            feed_range(&mut *fork, &tr, half..tr.len());
+            feed_range(&mut *fork, &tr, half..tr.len()).unwrap();
             assert_eq!(fork.finish_full().unwrap(), expected, "{spec} fork");
             // Driving the replica must not have touched the original...
             assert_eq!(live.save_state(), baseline, "{spec} isolation");
             // ...which still finishes identically itself.
-            feed_range(&mut *live, &tr, half..tr.len());
+            feed_range(&mut *live, &tr, half..tr.len()).unwrap();
             assert_eq!(live.finish_full().unwrap(), expected, "{spec} original");
         }
     }
@@ -189,18 +171,20 @@ mod tests {
     fn restore_rejects_wrong_family_and_wrong_config() {
         let tr = gen::synthetic(gen::Case::Case2);
         let b = build(BackendSpec::Picos(HilMode::FullSystem));
-        let mut live = b.open().unwrap();
-        feed_range(&mut *live, &tr, 0..tr.len());
+        let mut live = b.open_with(SessionConfig::batch()).unwrap();
+        feed_range(&mut *live, &tr, 0..tr.len()).unwrap();
         let snap = Snapshot::capture(&*live);
         // Same family, different worker count.
         let mut other = BackendSpec::Picos(HilMode::FullSystem)
             .builder(8)
             .build()
-            .open()
+            .open_with(SessionConfig::batch())
             .unwrap();
         assert!(snap.restore(&mut *other).is_err(), "workers must guard");
         // A different family entirely.
-        let mut perfect = build(BackendSpec::Perfect).open().unwrap();
+        let mut perfect = build(BackendSpec::Perfect)
+            .open_with(SessionConfig::batch())
+            .unwrap();
         assert!(snap.restore(&mut *perfect).is_err(), "family must guard");
     }
 

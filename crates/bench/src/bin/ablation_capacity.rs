@@ -6,7 +6,8 @@
 //! workload — the quantitative backing for the paper's Section V-D remark
 //! about "the lack of hardware resources".
 
-use picos_bench::{f2, picos_speedup, Table};
+use picos_backend::{BackendSpec, SessionConfig};
+use picos_bench::{f2, Table};
 use picos_core::PicosConfig;
 use picos_hil::HilMode;
 use picos_trace::gen::App;
@@ -37,7 +38,14 @@ fn main() {
             cfg.tm_entries = tm;
             cfg.vm_entries = vm;
             cfg.dm_sets = sets;
-            let s = picos_speedup(&tr, 24, cfg, HilMode::HwOnly);
+            let s = BackendSpec::Picos(HilMode::HwOnly)
+                .builder(24)
+                .picos(&cfg)
+                .build()
+                .run(&tr, SessionConfig::batch())
+                .expect("HW-only run completes")
+                .report
+                .speedup();
             t.row(vec![
                 app.name().to_string(),
                 bs.to_string(),

@@ -5,7 +5,8 @@
 //! longer postpones the critical path. Right side: the original Lu with a
 //! LIFO Task Scheduler instead of the default FIFO.
 
-use picos_bench::{f2, picos_speedup_policy, Table};
+use picos_backend::{BackendSpec, SessionConfig};
+use picos_bench::{f2, Table};
 use picos_core::{DmDesign, PicosConfig, TsPolicy};
 use picos_hil::HilMode;
 use picos_trace::gen::{lu, LuConfig};
@@ -35,13 +36,14 @@ fn main() {
                 format!("{policy:?}").to_uppercase(),
             ];
             for dm in DmDesign::ALL {
-                cells.push(f2(picos_speedup_policy(
-                    &tr,
-                    12,
-                    PicosConfig::baseline(dm),
-                    HilMode::HwOnly,
-                    policy,
-                )));
+                let r = BackendSpec::Picos(HilMode::HwOnly)
+                    .builder(12)
+                    .picos(&PicosConfig::baseline(dm).with_ts_policy(policy))
+                    .build()
+                    .run(&tr, SessionConfig::batch())
+                    .expect("HW-only run completes")
+                    .report;
+                cells.push(f2(r.speedup()));
             }
             t.row(cells);
         }

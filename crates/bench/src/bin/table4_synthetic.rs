@@ -1,8 +1,9 @@
 //! Regenerates **Table IV**: latency and throughput of the synthetic
 //! benchmarks under the three HIL modes, 12 workers.
 
+use picos_backend::{ExecBackend, PicosBackend, SessionConfig};
 use picos_bench::{f1, Table};
-use picos_hil::{run_hil, HilConfig, HilMode};
+use picos_hil::HilMode;
 use picos_trace::gen::{synthetic, Case};
 
 /// One mode's reference row: (L1st, thrTask, thrDep) per synthetic case.
@@ -62,8 +63,10 @@ fn main() {
         let mut thr_d = vec![mode_name.to_string(), "thrDep".to_string()];
         for (case, p) in Case::ALL.into_iter().zip(paper) {
             let tr = synthetic(case);
-            let cfg = HilConfig::balanced(12);
-            let r = run_hil(&tr, mode, &cfg).expect("synthetic run completes");
+            let r = PicosBackend::balanced(mode, 12)
+                .run(&tr, SessionConfig::batch())
+                .expect("synthetic run completes")
+                .report;
             let m = r.synthetic_metrics(tr.stats().avg_deps());
             l1st.push(format!("{} ({})", m.l1st, p.0));
             thr_t.push(format!("{} ({})", f1(m.thr_task), f1(p.1)));

@@ -2,20 +2,16 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see `DESIGN.md` for the index). This library provides the shared
-//! pieces: an aligned table printer with CSV export, the results
-//! directory, and one-call runners that drive every execution engine
-//! through the uniform [`picos_backend::ExecBackend`] trait. Grid-shaped
-//! experiments (Figures 1, 8, 11; Table II) use the parallel
+//! pieces: an aligned table printer with CSV export and the results
+//! directory. Every binary drives the engines through the uniform
+//! [`picos_backend::ExecBackend`] trait; grid-shaped experiments
+//! (Figures 1, 8, 11; Table II) use the parallel
 //! [`picos_backend::Sweep`] harness instead of hand-rolled loops.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use picos_backend::{BackendSpec, SessionConfig, SweepResult};
-use picos_core::{PicosConfig, Stats, TsPolicy};
-use picos_hil::HilMode;
-use picos_runtime::ExecReport;
-use picos_trace::Trace;
+use picos_backend::SweepResult;
 use std::path::PathBuf;
 
 /// A printable experiment table that can also be saved as text + CSV.
@@ -114,94 +110,6 @@ pub fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
-/// Runs a trace through any backend family and returns the report.
-///
-/// # Panics
-///
-/// Panics if the engine stalls — experiments treat that as a fatal bug.
-pub fn backend_report(
-    trace: &Trace,
-    spec: BackendSpec,
-    workers: usize,
-    picos: &PicosConfig,
-) -> ExecReport {
-    spec.builder(workers)
-        .picos(picos)
-        .build()
-        .run(trace, SessionConfig::batch())
-        .unwrap_or_else(|e| panic!("{spec} run must complete: {e}"))
-        .report
-}
-
-/// Runs the trace through the Picos HIL platform and returns the report.
-///
-/// # Panics
-///
-/// Panics if the platform stalls — experiments treat that as a fatal bug.
-pub fn picos_report(
-    trace: &Trace,
-    workers: usize,
-    picos: PicosConfig,
-    mode: HilMode,
-) -> ExecReport {
-    backend_report(trace, BackendSpec::Picos(mode), workers, &picos)
-}
-
-/// Like [`picos_report`] but also returns the core statistics (conflicts).
-pub fn picos_report_with_stats(
-    trace: &Trace,
-    workers: usize,
-    picos: PicosConfig,
-    mode: HilMode,
-) -> (ExecReport, Stats) {
-    let out = BackendSpec::Picos(mode)
-        .builder(workers)
-        .picos(&picos)
-        .build()
-        .run(trace, SessionConfig::batch())
-        .expect("picos HIL run must complete");
-    (
-        out.report,
-        out.stats.expect("picos backends report hardware counters"),
-    )
-}
-
-/// Picos speedup for a trace, worker count, config and mode.
-pub fn picos_speedup(trace: &Trace, workers: usize, picos: PicosConfig, mode: HilMode) -> f64 {
-    picos_report(trace, workers, picos, mode).speedup()
-}
-
-/// Picos speedup with an explicit TS policy (Figure 9).
-pub fn picos_speedup_policy(
-    trace: &Trace,
-    workers: usize,
-    picos: PicosConfig,
-    mode: HilMode,
-    policy: TsPolicy,
-) -> f64 {
-    picos_speedup(trace, workers, picos.with_ts_policy(policy), mode)
-}
-
-/// Nanos++ software-runtime speedup.
-///
-/// # Panics
-///
-/// Panics if the software runtime stalls.
-pub fn nanos_speedup(trace: &Trace, workers: usize) -> f64 {
-    backend_report(trace, BackendSpec::Nanos, workers, &PicosConfig::balanced()).speedup()
-}
-
-/// Perfect-scheduler (roofline) speedup.
-pub fn perfect_speedup(trace: &Trace, workers: usize) -> f64 {
-    backend_report(
-        trace,
-        BackendSpec::Perfect,
-        workers,
-        &PicosConfig::balanced(),
-    )
-    .speedup()
-}
-
 /// Writes a sweep's raw results as `<name>_raw.csv` / `<name>_raw.json`
 /// into the results directory (the pivoted paper table is emitted
 /// separately via [`Table::emit`]).
@@ -237,10 +145,16 @@ mod tests {
 
     #[test]
     fn runners_produce_consistent_speedups() {
+        use picos_backend::{BackendSpec, SessionConfig};
+        use picos_hil::HilMode;
         let tr = picos_trace::gen::cholesky(picos_trace::gen::CholeskyConfig::paper(256));
-        let p = perfect_speedup(&tr, 4);
-        let n = nanos_speedup(&tr, 4);
-        let h = picos_speedup(&tr, 4, PicosConfig::balanced(), HilMode::FullSystem);
+        let speedup = |spec: BackendSpec| {
+            let out = spec.builder(4).build().run(&tr, SessionConfig::batch());
+            out.unwrap().report.speedup()
+        };
+        let p = speedup(BackendSpec::Perfect);
+        let n = speedup(BackendSpec::Nanos);
+        let h = speedup(BackendSpec::Picos(HilMode::FullSystem));
         assert!(
             p >= n && p >= h,
             "perfect {p} must dominate nanos {n} / picos {h}"

@@ -9,8 +9,7 @@ mod args;
 
 use args::{usage, Args};
 use picos_backend::{
-    pace, Admission, BackendSpec, ExecBackend, SessionConfig, SessionCore, SimSession, Sweep,
-    Workload,
+    feed_range, pace, BackendSpec, ExecBackend, SessionConfig, SimSession, Sweep, Workload,
 };
 use picos_cluster::{FaultPlan, ShardPolicy};
 use picos_core::{DmDesign, PicosConfig, Stats, TsPolicy};
@@ -546,33 +545,6 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
     }
 }
 
-/// Feeds `trace[range]` into a session, declaring the trace's taskwait
-/// barriers at their recorded positions and riding out backpressure with
-/// forced steps (batch sessions never push back; the loop is for windowed
-/// replicas).
-fn feed_range(
-    s: &mut dyn SessionCore,
-    trace: &Trace,
-    range: std::ops::Range<usize>,
-) -> Result<(), String> {
-    for i in range {
-        if trace.barriers().contains(&(i as u32)) {
-            s.barrier();
-        }
-        loop {
-            match s.submit(&trace.tasks()[i]) {
-                Admission::Accepted => break,
-                Admission::Backpressured => {
-                    if !s.step() {
-                        return Err(format!("session stalled feeding task {i}"));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// One what-if candidate: a label and the backend that realizes it.
 struct WhatIfCandidate {
     label: String,
@@ -655,7 +627,7 @@ fn cmd_whatif(a: &Args) -> Result<(), String> {
         .open_with(SessionConfig::batch())
         .map_err(|e| e.to_string())?;
     let mut live = JournaledSession::new(session);
-    feed_range(&mut live, &trace, 0..cut)?;
+    feed_range(&mut live, &trace, 0..cut).map_err(|e| e.to_string())?;
     println!(
         "what-if on {}: {} of {} tasks recorded into the live session ({live_label})",
         trace.name,
@@ -666,7 +638,7 @@ fn cmd_whatif(a: &Args) -> Result<(), String> {
     // Baseline: fork the live session in memory and run it to the end.
     let mut rows: Vec<(String, u64, f64)> = Vec::new();
     let mut finish = |label: String, mut s: Box<dyn SimSession>| -> Result<(), String> {
-        feed_range(&mut *s, &trace, cut..trace.len())?;
+        feed_range(&mut *s, &trace, cut..trace.len()).map_err(|e| e.to_string())?;
         let out = s.finish_full().map_err(|e| format!("{label}: {e}"))?;
         rows.push((label, out.report.makespan, out.report.speedup()));
         Ok(())

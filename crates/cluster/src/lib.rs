@@ -34,14 +34,21 @@
 //! # Quick example
 //!
 //! ```
-//! use picos_cluster::{run_cluster, ClusterConfig};
+//! use picos_cluster::{merged_stats, ClusterConfig, ClusterSession};
+//! use picos_runtime::{feed_trace, SessionConfig};
 //! use picos_trace::gen;
 //!
 //! let trace = gen::stream(gen::StreamConfig::heavy(400));
-//! let one = run_cluster(&trace, &ClusterConfig::balanced(1, 16))?;
-//! let four = run_cluster(&trace, &ClusterConfig::balanced(4, 16))?;
-//! one.validate(&trace)?;
-//! four.validate(&trace)?;
+//! for shards in [1, 4] {
+//!     let cfg = ClusterConfig::balanced(shards, 16);
+//!     let mut session = ClusterSession::new(cfg, SessionConfig::batch())?;
+//!     feed_trace(&mut session, &trace)?;
+//!     let (report, per_shard, _timeline, _faults, _spans) = session.into_output()?;
+//!     report.validate(&trace)?;
+//!     assert_eq!(per_shard.len(), shards);
+//!     let total = merged_stats(&per_shard);
+//!     assert_eq!(total.tasks_completed, total.tasks_submitted);
+//! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -55,6 +62,4 @@ mod system;
 pub use config::{home_shard, ClusterConfig, ClusterError, ShardPolicy};
 pub use fault::{FaultCounters, FaultPlan, ShardPause, WorkerFault};
 pub use picos_hil::LinkModel;
-pub use system::{
-    merged_stats, run_cluster, run_cluster_with_stats, ClusterOutput, ClusterSession,
-};
+pub use system::{merged_stats, ClusterOutput, ClusterSession};

@@ -41,11 +41,10 @@ use picos_hil::Link;
 use picos_metrics::span::{SpanKind, SpanLog};
 use picos_metrics::{SeriesSpec, Timeline, WindowSampler};
 use picos_runtime::session::{
-    feed_trace, Admission, EventLog, EventLoopCore, Ingest, ScheduleLog, SessionConfig,
-    SessionCore, SimEvent,
+    Admission, EventLog, EventLoopCore, Ingest, ScheduleLog, SessionConfig, SessionCore, SimEvent,
 };
 use picos_runtime::ExecReport;
-use picos_trace::{Dependence, TaskDescriptor, TaskId, Trace};
+use picos_trace::{Dependence, TaskDescriptor, TaskId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -93,9 +92,8 @@ pub type ClusterOutput = (
 /// per-task at submission (the policies only look at the task itself, so
 /// streaming placement equals the batch plan).
 ///
-/// Feeding a whole trace and finishing is cycle-identical to
-/// [`run_cluster_with_stats`]; with one shard both are cycle-identical to
-/// the HW-only HIL driver.
+/// Feeding a whole trace and finishing is the batch run; with one shard
+/// it is cycle-identical to the HW-only HIL session.
 ///
 /// Cloning is a deep copy of the entire cluster — the in-memory fork
 /// primitive: a cloned session diverges freely without touching the
@@ -423,22 +421,15 @@ impl ClusterSession {
         }
     }
 
-    /// Runs the session to quiescence and returns the schedule report plus
+    /// Runs the session to quiescence and returns the schedule report,
     /// each shard's hardware counters (index = shard id; aggregate with
-    /// [`merged_stats`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::Stalled`] if work remains that no event
-    /// will release (an engine bug).
-    pub fn into_report(self) -> Result<(ExecReport, Vec<Stats>), ClusterError> {
-        self.into_report_full().map(|(r, s, _)| (r, s))
-    }
-
-    /// Like [`ClusterSession::into_report_full`], and also returns the
-    /// final fault-protocol counters when an *active* [`FaultPlan`] is
-    /// attached (`None` for fault-free sessions and zero-fault plans, whose
-    /// runs are bit-identical to no plan at all) plus the run's lifecycle
+    /// [`merged_stats`]), the run's [`Timeline`] when the session was
+    /// opened with a telemetry window (the cluster series `workers.busy`,
+    /// per-link `linkK.inflight` / `linkK.sent` stitched with every shard
+    /// core's probe series under the `sK.core.` scopes), the final
+    /// fault-protocol counters when an *active* [`FaultPlan`] is attached
+    /// (`None` for fault-free sessions and zero-fault plans, whose runs are
+    /// bit-identical to no plan at all), and the run's lifecycle
     /// [`SpanLog`] when the session was opened with span tracing: driver
     /// events merged with every shard core's probe events, in recording
     /// order. Serial and parallel drives record the same event *multiset*
@@ -447,27 +438,11 @@ impl ClusterSession {
     ///
     /// # Errors
     ///
-    /// See [`ClusterSession::into_report`].
-    pub fn into_output(self) -> Result<ClusterOutput, ClusterError> {
-        self.finish_parts()
-    }
-
-    /// Like [`ClusterSession::into_report`], and also returns the run's
-    /// [`Timeline`] when the session was opened with a telemetry window:
-    /// the cluster series (`workers.busy`, per-link `linkK.inflight` /
-    /// `linkK.sent`) stitched with every shard core's probe series under
-    /// the `sK.core.` scopes.
-    ///
-    /// # Errors
-    ///
-    /// See [`ClusterSession::into_report`].
-    pub fn into_report_full(
-        self,
-    ) -> Result<(ExecReport, Vec<Stats>, Option<Timeline>), ClusterError> {
-        self.finish_parts().map(|(r, s, tl, _, _)| (r, s, tl))
-    }
-
-    fn finish_parts(mut self) -> Result<ClusterOutput, ClusterError> {
+    /// Returns [`ClusterError::Stalled`] if work remains that no event
+    /// will release (an engine bug), [`ClusterError::LanePanic`] if a
+    /// parallel lane panicked, and the fault layer's typed error when an
+    /// incomplete run exhausted its retry budget.
+    pub fn into_output(mut self) -> Result<ClusterOutput, ClusterError> {
         if self.par_eligible() {
             // Unbounded drive: the epoch engine stops when every lane is
             // quiescent, exactly where drive_finish would.
@@ -778,7 +753,7 @@ impl SessionCore for ClusterSession {
     fn advance_to(&mut self, cycle: u64) {
         if self.engine_err.is_some() {
             // A caught lane panic killed the session; the error surfaces
-            // from `into_report`.
+            // from `into_output`.
             return;
         }
         if self.par_eligible() {
@@ -828,18 +803,6 @@ impl SessionCore for ClusterSession {
     }
 }
 
-/// Runs a trace through the cluster; returns the schedule with engine
-/// label `"cluster"`. Opens a [`ClusterSession`], feeds the whole trace
-/// and finishes it.
-///
-/// # Errors
-///
-/// [`ClusterError::Config`] on an invalid configuration,
-/// [`ClusterError::Stalled`] if the run cannot complete (an engine bug).
-pub fn run_cluster(trace: &Trace, cfg: &ClusterConfig) -> Result<ExecReport, ClusterError> {
-    run_cluster_with_stats(trace, cfg).map(|(r, _)| r)
-}
-
 /// Aggregates per-shard hardware counters into cluster totals under the
 /// explicit [`Stats::merge`] rules: monotone totals (busy cycles, stalls,
 /// processed dependences) sum across shards; `peak_*` high-water marks
@@ -857,40 +820,27 @@ pub fn merged_stats(per_shard: &[Stats]) -> Stats {
     total
 }
 
-/// Like [`run_cluster`], but also returns each shard's hardware counters
-/// (index = shard id; aggregate with [`merged_stats`]).
-///
-/// # Errors
-///
-/// See [`run_cluster`].
-pub fn run_cluster_with_stats(
-    trace: &Trace,
-    cfg: &ClusterConfig,
-) -> Result<(ExecReport, Vec<Stats>), ClusterError> {
-    let mut s = ClusterSession::new(cfg.clone(), SessionConfig::batch())?;
-    feed_trace(&mut s, trace).expect("unbounded window cannot stall");
-    s.into_report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use picos_trace::gen;
-    use picos_trace::TaskGraph;
+    use picos_runtime::session::{feed_range, feed_trace};
+    use picos_trace::{gen, TaskGraph, Trace};
 
-    fn run(trace: &Trace, shards: usize, workers: usize) -> ExecReport {
-        let r = run_cluster(trace, &ClusterConfig::balanced(shards, workers))
-            .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
-        r.validate(trace)
-            .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
-        r
+    /// A batch run: opens a session, feeds the whole trace and finishes.
+    fn run(trace: &Trace, cfg: &ClusterConfig) -> Result<(ExecReport, Vec<Stats>), ClusterError> {
+        let mut s = ClusterSession::new(cfg.clone(), SessionConfig::batch())?;
+        feed_trace(&mut s, trace).unwrap();
+        s.into_output().map(|(r, stats, ..)| (r, stats))
     }
 
     #[test]
     fn all_shard_counts_complete_and_validate() {
         let tr = gen::cholesky(gen::CholeskyConfig::paper(128));
         for shards in [1usize, 2, 3, 4, 8] {
-            let r = run(&tr, shards, 16);
+            let (r, _) = run(&tr, &ClusterConfig::balanced(shards, 16))
+                .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
+            r.validate(&tr)
+                .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
             assert_eq!(r.order.len(), tr.len());
         }
     }
@@ -903,7 +853,7 @@ mod tests {
                 policy,
                 ..ClusterConfig::balanced(4, 12)
             };
-            let r = run_cluster(&tr, &cfg).unwrap_or_else(|e| panic!("{policy}: {e}"));
+            let (r, _) = run(&tr, &cfg).unwrap_or_else(|e| panic!("{policy}: {e}"));
             r.validate(&tr).unwrap_or_else(|e| panic!("{policy}: {e}"));
         }
     }
@@ -919,7 +869,7 @@ mod tests {
                         policy,
                         ..ClusterConfig::balanced(shards, 8)
                     };
-                    let r = run_cluster(&tr, &cfg)
+                    let (r, _) = run(&tr, &cfg)
                         .unwrap_or_else(|e| panic!("seed {seed} {policy} {shards}: {e}"));
                     assert!(
                         g.is_topological(&r.order),
@@ -936,8 +886,8 @@ mod tests {
     fn deterministic_across_runs() {
         let tr = gen::stream(gen::StreamConfig::heavy(600));
         let cfg = ClusterConfig::balanced(4, 16);
-        let a = run_cluster_with_stats(&tr, &cfg).unwrap();
-        let b = run_cluster_with_stats(&tr, &cfg).unwrap();
+        let a = run(&tr, &cfg).unwrap();
+        let b = run(&tr, &cfg).unwrap();
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
     }
@@ -954,7 +904,8 @@ mod tests {
             tr.push(kc, [Dependence::inout(0x9000 + i * 0x40)], 50);
         }
         for shards in [1usize, 3] {
-            let r = run(&tr, shards, 6);
+            let (r, _) = run(&tr, &ClusterConfig::balanced(shards, 6))
+                .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
             r.validate(&tr).unwrap();
         }
     }
@@ -962,9 +913,9 @@ mod tests {
     #[test]
     fn invalid_configs_error_not_panic() {
         let tr = gen::synthetic(gen::Case::Case1);
-        let e = run_cluster(&tr, &ClusterConfig::balanced(0, 4));
+        let e = run(&tr, &ClusterConfig::balanced(0, 4));
         assert!(matches!(e, Err(ClusterError::Config(_))));
-        let e = run_cluster(&tr, &ClusterConfig::balanced(4, 2));
+        let e = run(&tr, &ClusterConfig::balanced(4, 2));
         assert!(matches!(e, Err(ClusterError::Config(_))));
         assert!(e.unwrap_err().to_string().contains("workers"));
     }
@@ -972,7 +923,7 @@ mod tests {
     #[test]
     fn empty_trace_is_a_noop() {
         let tr = Trace::new("empty");
-        let (r, stats) = run_cluster_with_stats(&tr, &ClusterConfig::balanced(2, 4)).unwrap();
+        let (r, stats) = run(&tr, &ClusterConfig::balanced(2, 4)).unwrap();
         assert_eq!(r.makespan, 0);
         assert_eq!(merged_stats(&stats).tasks_completed, 0);
     }
@@ -980,7 +931,7 @@ mod tests {
     #[test]
     fn per_shard_stats_cover_all_tasks() {
         let tr = gen::stream(gen::StreamConfig::heavy(500));
-        let (_, stats) = run_cluster_with_stats(&tr, &ClusterConfig::balanced(4, 16)).unwrap();
+        let (_, stats) = run(&tr, &ClusterConfig::balanced(4, 16)).unwrap();
         assert_eq!(stats.len(), 4);
         let total = merged_stats(&stats);
         // Every task submits a local fragment; remote fragments add more.
@@ -996,7 +947,7 @@ mod tests {
         let tr = gen::lu(gen::LuConfig::paper(64));
         let mut cfg = ClusterConfig::balanced(3, 9);
         cfg.picos = cfg.picos.with_ts_policy(picos_core::TsPolicy::Lifo);
-        let r = run_cluster(&tr, &cfg).unwrap();
+        let (r, _) = run(&tr, &cfg).unwrap();
         r.validate(&tr).unwrap();
     }
 
@@ -1004,11 +955,11 @@ mod tests {
     fn session_matches_batch_run() {
         let tr = gen::stream(gen::StreamConfig::heavy(400));
         let cfg = ClusterConfig::balanced(3, 12);
-        let batch = run_cluster_with_stats(&tr, &cfg).unwrap();
+        let batch = run(&tr, &cfg).unwrap();
         let mut s = ClusterSession::new(cfg, SessionConfig::batch()).unwrap();
         feed_trace(&mut s, &tr).unwrap();
-        let streamed = s.into_report().unwrap();
-        assert_eq!(batch, streamed);
+        let (report, stats, ..) = s.into_output().unwrap();
+        assert_eq!(batch, (report, stats));
     }
 
     #[test]
@@ -1027,11 +978,11 @@ mod tests {
         // Settle nothing yet: events materialize as the session runs.
         s.drain_events(&mut events);
         let n = tr.len();
-        let (r, _) = {
+        let (r, ..) = {
             let mut s = s;
             s.advance_to(u64::MAX / 2);
             s.drain_events(&mut events);
-            s.into_report().unwrap()
+            s.into_output().unwrap()
         };
         assert_eq!(r.order.len(), n);
         let shard_msgs = events
@@ -1050,10 +1001,10 @@ mod tests {
     fn parallel_engine_is_bit_identical_to_serial() {
         let tr = gen::stream(gen::StreamConfig::heavy(600));
         for shards in [2usize, 4] {
-            let serial = run_cluster_with_stats(&tr, &ClusterConfig::balanced(shards, 16)).unwrap();
+            let serial = run(&tr, &ClusterConfig::balanced(shards, 16)).unwrap();
             for threads in 2..=shards {
                 let cfg = ClusterConfig::balanced(shards, 16).with_threads(threads);
-                let par = run_cluster_with_stats(&tr, &cfg).unwrap();
+                let par = run(&tr, &cfg).unwrap();
                 assert_eq!(serial, par, "{shards} shards, {threads} threads");
             }
         }
@@ -1067,10 +1018,10 @@ mod tests {
         // threaded loop, which is result-identical by design.
         std::env::set_var("PICOS_CLUSTER_FORCE_THREADS", "1");
         let tr = gen::stream(gen::StreamConfig::heavy(400));
-        let serial = run_cluster_with_stats(&tr, &ClusterConfig::balanced(4, 12)).unwrap();
+        let serial = run(&tr, &ClusterConfig::balanced(4, 12)).unwrap();
         for threads in [2usize, 4] {
             let cfg = ClusterConfig::balanced(4, 12).with_threads(threads);
-            let par = run_cluster_with_stats(&tr, &cfg).unwrap();
+            let par = run(&tr, &cfg).unwrap();
             assert_eq!(serial, par, "{threads} forced threads");
         }
         std::env::remove_var("PICOS_CLUSTER_FORCE_THREADS");
@@ -1093,7 +1044,7 @@ mod tests {
             s.advance_to(u64::MAX / 2);
             let mut events = Vec::new();
             s.drain_events(&mut events);
-            (events, s.into_report().unwrap())
+            (events, s.into_output().unwrap())
         };
         let (serial_events, serial_report) = collect(1);
         let (par_events, par_report) = collect(4);
@@ -1117,9 +1068,8 @@ mod tests {
         for i in 0..40u64 {
             tr.push(kc, [Dependence::inout(0x9000 + (i % 7) * 0x40)], 45);
         }
-        let serial = run_cluster_with_stats(&tr, &ClusterConfig::balanced(4, 8)).unwrap();
-        let par =
-            run_cluster_with_stats(&tr, &ClusterConfig::balanced(4, 8).with_threads(4)).unwrap();
+        let serial = run(&tr, &ClusterConfig::balanced(4, 8)).unwrap();
+        let par = run(&tr, &ClusterConfig::balanced(4, 8).with_threads(4)).unwrap();
         assert_eq!(serial, par);
     }
 
@@ -1137,7 +1087,7 @@ mod tests {
                     }
                 }
             }
-            s.into_report().unwrap()
+            s.into_output().unwrap()
         };
         assert_eq!(drive(1), drive(2));
     }
@@ -1153,13 +1103,14 @@ mod tests {
         for window in [8u64, 64, 512] {
             let run_timed = |threads: usize| {
                 let cfg = ClusterConfig::balanced(4, 8).with_threads(threads);
-                let mut s = ClusterSession::new(cfg, SessionConfig::timed(window)).unwrap();
+                let scfg = SessionConfig::batch().with_timeline(window);
+                let mut s = ClusterSession::new(cfg, scfg).unwrap();
                 feed_trace(&mut s, &tr).unwrap();
-                s.into_report_full().unwrap()
+                s.into_output().unwrap()
             };
-            let (sr, ss, stl) = run_timed(1);
+            let (sr, ss, stl, ..) = run_timed(1);
             for threads in [2usize, 4] {
-                let (pr, ps, ptl) = run_timed(threads);
+                let (pr, ps, ptl, ..) = run_timed(threads);
                 assert_eq!(sr, pr, "window {window}, {threads} threads");
                 assert_eq!(ss, ps, "window {window}, {threads} threads");
                 assert_eq!(
@@ -1190,27 +1141,13 @@ mod tests {
             assert!(s.in_flight() <= 16);
         }
         assert!(retries > 0, "a 16-task window must backpressure");
-        let (r, stats) = s.into_report().unwrap();
+        let (r, stats, ..) = s.into_output().unwrap();
         r.validate(&tr).unwrap();
         assert_eq!(r.order.len(), tr.len(), "no task may be dropped");
         let total = merged_stats(&stats);
         // Per-shard counters count fragments, so they can exceed the task
         // count but must balance.
         assert_eq!(total.tasks_submitted, total.tasks_completed);
-    }
-
-    /// Feeds tasks `range` of the trace, honoring its taskwait barriers
-    /// and draining backpressure — the prefix-replay driver of the
-    /// snapshot tests.
-    fn feed_range(s: &mut ClusterSession, tr: &Trace, range: std::ops::Range<usize>) {
-        for i in range {
-            if tr.barriers().contains(&(i as u32)) {
-                s.barrier();
-            }
-            while s.submit(&tr.tasks()[i]) == Admission::Backpressured {
-                assert!(s.step(), "backpressured session must progress");
-            }
-        }
     }
 
     #[test]
@@ -1221,8 +1158,8 @@ mod tests {
         for pause in [0, 9, tr.len() / 2] {
             let mut cont = ClusterSession::new(cfg.clone(), scfg).unwrap();
             let mut live = ClusterSession::new(cfg.clone(), scfg).unwrap();
-            feed_range(&mut cont, &tr, 0..pause);
-            feed_range(&mut live, &tr, 0..pause);
+            feed_range(&mut cont, &tr, 0..pause).unwrap();
+            feed_range(&mut live, &tr, 0..pause).unwrap();
 
             // Snapshot through the JSON text codec, restore into a fresh
             // identically-configured session.
@@ -1231,8 +1168,8 @@ mod tests {
             let mut restored = ClusterSession::new(cfg.clone(), scfg).unwrap();
             restored.load_state(&snap).unwrap();
 
-            feed_range(&mut cont, &tr, pause..tr.len());
-            feed_range(&mut restored, &tr, pause..tr.len());
+            feed_range(&mut cont, &tr, pause..tr.len()).unwrap();
+            feed_range(&mut restored, &tr, pause..tr.len()).unwrap();
             let a = cont.into_output().unwrap();
             let b = restored.into_output().unwrap();
             assert_eq!(a, b, "pause {pause}");
@@ -1258,16 +1195,16 @@ mod tests {
         for pause in [0, tr.len() / 3, tr.len() - 1] {
             let mut cont = ClusterSession::new(cfg.clone(), scfg).unwrap();
             let mut live = ClusterSession::new(cfg.clone(), scfg).unwrap();
-            feed_range(&mut cont, &tr, 0..pause);
-            feed_range(&mut live, &tr, 0..pause);
+            feed_range(&mut cont, &tr, 0..pause).unwrap();
+            feed_range(&mut live, &tr, 0..pause).unwrap();
 
             let text = picos_trace::snap::value_to_json(&live.save_state());
             let snap = picos_trace::snap::value_from_json(&text).unwrap();
             let mut restored = ClusterSession::new(cfg.clone(), scfg).unwrap();
             restored.load_state(&snap).unwrap();
 
-            feed_range(&mut cont, &tr, pause..tr.len());
-            feed_range(&mut restored, &tr, pause..tr.len());
+            feed_range(&mut cont, &tr, pause..tr.len()).unwrap();
+            feed_range(&mut restored, &tr, pause..tr.len()).unwrap();
             let a = cont.into_output().unwrap();
             let b = restored.into_output().unwrap();
             assert_eq!(a, b, "pause {pause}");
@@ -1290,13 +1227,13 @@ mod tests {
         let par_cfg = ClusterConfig::balanced(4, 12).with_threads(4);
 
         let mut live = ClusterSession::new(par_cfg.clone(), SessionConfig::windowed(32)).unwrap();
-        feed_range(&mut live, &tr, 0..cut);
+        feed_range(&mut live, &tr, 0..cut).unwrap();
         live.advance_to(live.now() + 1_000);
         let snap = live.save_state();
 
         let finish = |mut s: ClusterSession| {
-            feed_range(&mut s, &tr, cut..tr.len());
-            s.into_report().unwrap()
+            feed_range(&mut s, &tr, cut..tr.len()).unwrap();
+            s.into_output().unwrap()
         };
         let mut into_serial = ClusterSession::new(serial_cfg, SessionConfig::windowed(32)).unwrap();
         into_serial.load_state(&snap).unwrap();
@@ -1310,20 +1247,20 @@ mod tests {
         let tr = gen::stream(gen::StreamConfig::heavy(250));
         let cfg = ClusterConfig::balanced(3, 9);
         let mut orig = ClusterSession::new(cfg, SessionConfig::batch()).unwrap();
-        feed_range(&mut orig, &tr, 0..100);
+        feed_range(&mut orig, &tr, 0..100).unwrap();
         let baseline = orig.save_state();
 
         let mut fork = orig.clone();
-        feed_range(&mut fork, &tr, 100..tr.len());
-        let forked = fork.into_report().unwrap();
+        feed_range(&mut fork, &tr, 100..tr.len()).unwrap();
+        let forked = fork.into_output().unwrap();
 
         // Driving the fork to completion left the original untouched.
         assert_eq!(
             picos_trace::snap::value_to_json(&orig.save_state()),
             picos_trace::snap::value_to_json(&baseline)
         );
-        feed_range(&mut orig, &tr, 100..tr.len());
-        assert_eq!(orig.into_report().unwrap(), forked);
+        feed_range(&mut orig, &tr, 100..tr.len()).unwrap();
+        assert_eq!(orig.into_output().unwrap(), forked);
     }
 
     #[test]
@@ -1331,7 +1268,7 @@ mod tests {
         let tr = gen::stream(gen::StreamConfig::heavy(60));
         let mut live =
             ClusterSession::new(ClusterConfig::balanced(3, 9), SessionConfig::batch()).unwrap();
-        feed_range(&mut live, &tr, 0..tr.len());
+        feed_range(&mut live, &tr, 0..tr.len()).unwrap();
         let snap = live.save_state();
 
         // Different shard count: fingerprint mismatch.
@@ -1341,8 +1278,11 @@ mod tests {
         assert!(err.contains("cluster config"), "got: {err}");
 
         // Same cluster, different observation setup.
-        let mut timed =
-            ClusterSession::new(ClusterConfig::balanced(3, 9), SessionConfig::timed(64)).unwrap();
+        let mut timed = ClusterSession::new(
+            ClusterConfig::balanced(3, 9),
+            SessionConfig::batch().with_timeline(64),
+        )
+        .unwrap();
         let err = timed.load_state(&snap).unwrap_err().to_string();
         assert!(err.contains("sampler"), "got: {err}");
 

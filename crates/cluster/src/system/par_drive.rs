@@ -795,7 +795,7 @@ impl ClusterSession {
             // Lane state past the panic point is unspecified — even the
             // parity advance below could trip an engine assert. Mark the
             // session dead so no driver touches it again, and surface the
-            // typed error from `into_report`.
+            // typed error from `into_output`.
             self.engine_err = Some(ClusterError::LanePanic { detail });
             return;
         }
@@ -830,8 +830,16 @@ fn test_lane_panic() -> Option<u16> {
 mod panic_tests {
     use super::*;
     use crate::config::ClusterConfig;
-    use crate::system::run_cluster;
-    use picos_trace::gen;
+    use crate::system::{ClusterOutput, ClusterSession};
+    use picos_runtime::session::{feed_trace, SessionConfig};
+    use picos_trace::{gen, Trace};
+
+    /// A batch run: opens a session, feeds the whole trace and finishes.
+    fn run(trace: &Trace, cfg: &ClusterConfig) -> Result<ClusterOutput, ClusterError> {
+        let mut s = ClusterSession::new(cfg.clone(), SessionConfig::batch())?;
+        feed_trace(&mut s, trace).unwrap();
+        s.into_output()
+    }
 
     #[test]
     fn lane_panic_surfaces_as_typed_error_not_hang() {
@@ -842,7 +850,7 @@ mod panic_tests {
         TEST_LANE_PANIC.with(|c| c.set(Some(3)));
         let tr = gen::stream(gen::StreamConfig::heavy(200));
         let cfg = ClusterConfig::balanced(4, 8).with_threads(4);
-        let got = run_cluster(&tr, &cfg);
+        let got = run(&tr, &cfg);
         TEST_LANE_PANIC.with(|c| c.set(None));
         std::env::remove_var("PICOS_CLUSTER_FORCE_THREADS");
         match got {
@@ -863,7 +871,7 @@ mod panic_tests {
         // threads > available cores on CI boxes falls back to the inline
         // epoch loop (no FORCE env), covering the catch there.
         let cfg = ClusterConfig::balanced(2, 4).with_threads(2);
-        let got = run_cluster(&tr, &cfg);
+        let got = run(&tr, &cfg);
         TEST_LANE_PANIC.with(|c| c.set(None));
         assert!(
             matches!(got, Err(ClusterError::LanePanic { .. })),

@@ -9,14 +9,19 @@
 //! # Quick example
 //!
 //! ```
-//! use picos_hil::{run_hil, HilConfig, HilMode};
+//! use picos_hil::{HilConfig, HilMode, HilSession};
+//! use picos_runtime::{feed_trace, SessionConfig};
 //! use picos_trace::gen;
 //!
 //! let trace = gen::synthetic(gen::Case::Case2);
-//! let report = run_hil(&trace, HilMode::HwOnly, &HilConfig::balanced(12))?;
+//! let mut session =
+//!     HilSession::new(HilMode::HwOnly, HilConfig::balanced(12), SessionConfig::batch())?;
+//! feed_trace(&mut session, &trace)?;
+//! let (report, stats, _timeline, _spans) = session.into_output()?;
 //! let m = report.synthetic_metrics(trace.stats().avg_deps());
 //! assert!(m.l1st > 0); // paper: 73 cycles
-//! # Ok::<(), picos_hil::HilError>(())
+//! assert_eq!(stats.tasks_completed as usize, trace.len());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -29,5 +34,5 @@ mod pool;
 
 pub use cost::{HilCostModel, LinkModel};
 pub use metrics::SyntheticMetrics;
-pub use modes::{run_hil, run_hil_with_stats, HilConfig, HilError, HilMode, HilSession};
+pub use modes::{HilConfig, HilError, HilMode, HilSession};
 pub use pool::{Link, Workers};

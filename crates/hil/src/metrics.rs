@@ -22,13 +22,15 @@ pub use picos_metrics::SyntheticMetrics;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_hil, HilConfig, HilMode};
+    use crate::{HilConfig, HilMode, HilSession};
+    use picos_runtime::{feed_trace, SessionConfig};
     use picos_trace::gen;
 
     fn metrics(case: gen::Case, mode: HilMode) -> SyntheticMetrics {
         let tr = gen::synthetic(case);
-        let cfg = HilConfig::balanced(12);
-        let r = run_hil(&tr, mode, &cfg).unwrap();
+        let mut s = HilSession::new(mode, HilConfig::balanced(12), SessionConfig::batch()).unwrap();
+        feed_trace(&mut s, &tr).unwrap();
+        let (r, ..) = s.into_output().unwrap();
         r.synthetic_metrics(tr.stats().avg_deps())
     }
 

@@ -12,8 +12,9 @@
 //! tasks stream in through [`SessionCore::submit`] and the platform model
 //! decides when they are created/submitted according to its own timing
 //! (immediately for HW-only, behind the SR0 FIFO for HW+comm, behind the
-//! serial ARM core for Full-system). [`run_hil`] is the batch driver over
-//! a session.
+//! serial ARM core for Full-system). A batch run feeds the whole trace
+//! ([`feed_trace`](picos_runtime::feed_trace)) and finishes with
+//! [`HilSession::into_output`].
 
 use crate::cost::HilCostModel;
 use crate::pool::{Bus, BusMsg, Workers};
@@ -21,12 +22,11 @@ use picos_core::{FinishedReq, PicosConfig, PicosSystem, SlotRef};
 use picos_metrics::span::{SpanKind, SpanLog};
 use picos_metrics::{SeriesSpec, Timeline, WindowSampler};
 use picos_runtime::session::{
-    feed_trace, Admission, EventLog, EventLoopCore, Ingest, ScheduleLog, SessionConfig,
-    SessionCore, SimEvent,
+    Admission, EventLog, EventLoopCore, Ingest, ScheduleLog, SessionConfig, SessionCore, SimEvent,
 };
 use picos_runtime::ExecReport;
 use picos_trace::snap::{Dec, Enc, SnapError};
-use picos_trace::{Dependence, TaskDescriptor, TaskId, Trace, Value};
+use picos_trace::{Dependence, TaskDescriptor, TaskId, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -185,9 +185,10 @@ struct TaskMeta {
 ///
 /// Submitted tasks enter the platform's ingest queue; the model itself
 /// decides when each is created (the SR0 FIFO and the ARM core throttle
-/// the two communication modes exactly as in the batch drivers), so a
-/// session fed a whole trace and finished is cycle-identical to
-/// [`run_hil`].
+/// the two communication modes), so a session's schedule does not
+/// depend on how submissions interleave with stepping: feeding a whole
+/// trace up front and finishing is cycle-identical to any streamed feed
+/// of it.
 ///
 /// Cloning is a deep copy of the full dynamic state — the fork primitive
 /// of the snapshot subsystem.
@@ -562,42 +563,22 @@ impl HilSession {
         }
     }
 
-    /// Runs the session to quiescence and returns the schedule report plus
-    /// the core's hardware counters.
+    /// Runs the session to quiescence and returns the schedule report, the
+    /// core's hardware counters, the run's [`Timeline`] when the session
+    /// was opened with a telemetry window (the platform series
+    /// `workers.busy` and `bus.inflight` stitched with the core's probe
+    /// series under the `core.` scope), and its lifecycle [`SpanLog`] when
+    /// it was opened with span tracing: driver events (submit, dispatch,
+    /// start, finish) merged with the core's probe events, in recording
+    /// order — consumers that need the deterministic order call
+    /// [`SpanLog::canonical_sort`] (analysis entry points like the
+    /// critical-path walker are order-insensitive, so the hot finish path
+    /// skips the sort).
     ///
     /// # Errors
     ///
     /// Returns [`HilError::Stalled`] if work remains that no event will
     /// release (an engine bug).
-    pub fn into_report(self) -> Result<(ExecReport, picos_core::Stats), HilError> {
-        self.into_report_full().map(|(r, s, _)| (r, s))
-    }
-
-    /// Like [`HilSession::into_report`], and also returns the run's
-    /// [`Timeline`] when the session was opened with a telemetry window:
-    /// the platform series (`workers.busy`, `bus.inflight`) stitched with
-    /// the core's probe series under the `core.` scope.
-    ///
-    /// # Errors
-    ///
-    /// See [`HilSession::into_report`].
-    pub fn into_report_full(
-        self,
-    ) -> Result<(ExecReport, picos_core::Stats, Option<Timeline>), HilError> {
-        self.into_output().map(|(r, s, t, _)| (r, s, t))
-    }
-
-    /// Like [`HilSession::into_report_full`], and also returns the run's
-    /// lifecycle [`SpanLog`] when the session was opened with span
-    /// tracing: driver events (submit, dispatch, start, finish) merged
-    /// with the core's probe events, in recording order — consumers that
-    /// need the deterministic order call [`SpanLog::canonical_sort`]
-    /// (analysis entry points like the critical-path walker are
-    /// order-insensitive, so the hot finish path skips the sort).
-    ///
-    /// # Errors
-    ///
-    /// See [`HilSession::into_report`].
     #[allow(clippy::type_complexity)]
     pub fn into_output(
         mut self,
@@ -945,52 +926,23 @@ impl SessionCore for HilSession {
     }
 }
 
-/// Runs a trace through the platform in the given mode; returns the
-/// schedule and, in the report's `engine` field, a label like
-/// `"picos-hw-only"`. Opens a [`HilSession`], feeds the whole trace and
-/// finishes it.
-///
-/// # Errors
-///
-/// Returns [`HilError::Stalled`] if the run cannot complete (this would
-/// indicate an engine bug; the configuration itself is validated by
-/// [`PicosSystem::new`]).
-///
-/// # Panics
-///
-/// Panics on a zero worker count.
-pub fn run_hil(trace: &Trace, mode: HilMode, cfg: &HilConfig) -> Result<ExecReport, HilError> {
-    run_hil_with_stats(trace, mode, cfg).map(|(r, _)| r)
-}
-
-/// Collects the per-run Picos statistics alongside the report.
-///
-/// Same as [`run_hil`] but also returns the core's counters (DM conflicts
-/// for Table II, stalls, peaks).
-///
-/// # Errors
-///
-/// See [`run_hil`].
-///
-/// # Panics
-///
-/// Panics on a zero worker count.
-pub fn run_hil_with_stats(
-    trace: &Trace,
-    mode: HilMode,
-    cfg: &HilConfig,
-) -> Result<(ExecReport, picos_core::Stats), HilError> {
-    let mut s = HilSession::new(mode, cfg.clone(), SessionConfig::batch())
-        .expect("need at least one worker");
-    feed_trace(&mut s, trace).expect("unbounded window cannot stall");
-    s.into_report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use picos_core::{DmDesign, TsPolicy};
-    use picos_trace::gen;
+    use picos_runtime::session::{feed_range, feed_trace};
+    use picos_trace::{gen, Trace};
+
+    /// A batch run: opens a session, feeds the whole trace and finishes.
+    fn run(
+        tr: &Trace,
+        mode: HilMode,
+        cfg: &HilConfig,
+    ) -> Result<(ExecReport, picos_core::Stats), HilError> {
+        let mut s = HilSession::new(mode, cfg.clone(), SessionConfig::batch()).unwrap();
+        feed_trace(&mut s, tr).unwrap();
+        s.into_output().map(|(r, stats, ..)| (r, stats))
+    }
 
     #[test]
     fn all_modes_complete_and_validate_on_synthetics() {
@@ -998,7 +950,9 @@ mod tests {
             let tr = gen::synthetic(case);
             for mode in HilMode::ALL {
                 let cfg = HilConfig::balanced(12);
-                let r = run_hil(&tr, mode, &cfg).unwrap_or_else(|e| panic!("{case:?} {mode}: {e}"));
+                let r = run(&tr, mode, &cfg)
+                    .unwrap_or_else(|e| panic!("{case:?} {mode}: {e}"))
+                    .0;
                 r.validate(&tr)
                     .unwrap_or_else(|e| panic!("{case:?} {mode}: {e}"));
             }
@@ -1010,9 +964,9 @@ mod tests {
         // HW-only < HW+comm < Full-system makespan on the same trace.
         let tr = gen::synthetic(gen::Case::Case2);
         let cfg = HilConfig::balanced(12);
-        let hw = run_hil(&tr, HilMode::HwOnly, &cfg).unwrap().makespan;
-        let comm = run_hil(&tr, HilMode::HwComm, &cfg).unwrap().makespan;
-        let full = run_hil(&tr, HilMode::FullSystem, &cfg).unwrap().makespan;
+        let hw = run(&tr, HilMode::HwOnly, &cfg).unwrap().0.makespan;
+        let comm = run(&tr, HilMode::HwComm, &cfg).unwrap().0.makespan;
+        let full = run(&tr, HilMode::FullSystem, &cfg).unwrap().0.makespan;
         assert!(hw < comm, "{hw} !< {comm}");
         assert!(comm < full, "{comm} !< {full}");
     }
@@ -1021,7 +975,7 @@ mod tests {
     fn real_app_completes_in_full_system() {
         let tr = gen::cholesky(gen::CholeskyConfig::paper(256));
         let cfg = HilConfig::balanced(8);
-        let r = run_hil(&tr, HilMode::FullSystem, &cfg).unwrap();
+        let r = run(&tr, HilMode::FullSystem, &cfg).unwrap().0;
         r.validate(&tr).unwrap();
         assert!(r.speedup() > 1.0, "speedup {}", r.speedup());
     }
@@ -1029,11 +983,13 @@ mod tests {
     #[test]
     fn speedup_grows_with_workers_on_parallel_app() {
         let tr = gen::cholesky(gen::CholeskyConfig::paper(128));
-        let s2 = run_hil(&tr, HilMode::FullSystem, &HilConfig::balanced(2))
+        let s2 = run(&tr, HilMode::FullSystem, &HilConfig::balanced(2))
             .unwrap()
+            .0
             .speedup();
-        let s8 = run_hil(&tr, HilMode::FullSystem, &HilConfig::balanced(8))
+        let s8 = run(&tr, HilMode::FullSystem, &HilConfig::balanced(8))
             .unwrap()
+            .0
             .speedup();
         assert!(s8 > s2 * 1.5, "s2={s2} s8={s8}");
     }
@@ -1049,7 +1005,7 @@ mod tests {
                 picos: PicosConfig::baseline(dm),
                 ..HilConfig::balanced(12)
             };
-            let (r, stats) = run_hil_with_stats(&tr, HilMode::HwOnly, &cfg).unwrap();
+            let (r, stats) = run(&tr, HilMode::HwOnly, &cfg).unwrap();
             r.validate(&tr).unwrap();
             speeds.insert(dm, (r.speedup(), stats.dm_conflicts));
         }
@@ -1066,7 +1022,7 @@ mod tests {
             picos: PicosConfig::balanced().with_ts_policy(TsPolicy::Lifo),
             ..HilConfig::balanced(8)
         };
-        let r = run_hil(&tr, HilMode::FullSystem, &cfg).unwrap();
+        let r = run(&tr, HilMode::FullSystem, &cfg).unwrap().0;
         r.validate(&tr).unwrap();
     }
 
@@ -1074,8 +1030,8 @@ mod tests {
     fn deterministic_runs() {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
         let cfg = HilConfig::balanced(16);
-        let a = run_hil(&tr, HilMode::FullSystem, &cfg).unwrap();
-        let b = run_hil(&tr, HilMode::FullSystem, &cfg).unwrap();
+        let a = run(&tr, HilMode::FullSystem, &cfg).unwrap().0;
+        let b = run(&tr, HilMode::FullSystem, &cfg).unwrap().0;
         assert_eq!(a, b);
     }
 
@@ -1105,11 +1061,11 @@ mod tests {
         let tr = gen::synthetic(gen::Case::Case5);
         for mode in HilMode::ALL {
             let cfg = HilConfig::balanced(6);
-            let batch = run_hil_with_stats(&tr, mode, &cfg).unwrap();
+            let batch = run(&tr, mode, &cfg).unwrap();
             let mut s = HilSession::new(mode, cfg.clone(), SessionConfig::batch()).unwrap();
             feed_trace(&mut s, &tr).unwrap();
-            let streamed = s.into_report().unwrap();
-            assert_eq!(batch, streamed, "{mode}");
+            let (report, stats, ..) = s.into_output().unwrap();
+            assert_eq!(batch, (report, stats), "{mode}");
         }
     }
 
@@ -1136,7 +1092,7 @@ mod tests {
             assert!(s.in_flight() <= 4);
         }
         assert!(retries > 0, "a 4-task window must backpressure");
-        let (r, stats) = s.into_report().unwrap();
+        let (r, stats, ..) = s.into_output().unwrap();
         r.validate(&tr).unwrap();
         assert_eq!(stats.tasks_completed as usize, tr.len());
     }
@@ -1163,7 +1119,7 @@ mod tests {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
         for mode in HilMode::ALL {
             let base = HilConfig::balanced(6);
-            let healthy = run_hil(&tr, mode, &base).unwrap();
+            let healthy = run(&tr, mode, &base).unwrap().0;
             let cfg = base.clone().with_worker_faults([500, 2_000, 9_000]);
             let mut s = HilSession::new(mode, cfg, SessionConfig::batch()).unwrap();
             feed_trace(&mut s, &tr).unwrap();
@@ -1172,7 +1128,7 @@ mod tests {
                 s.drive_finish();
                 let recov = s.recoveries();
                 assert!(recov >= recoveries);
-                let (r, _) = s.into_report().unwrap();
+                let (r, ..) = s.into_output().unwrap();
                 assert!(recov > 0, "{mode}: a busy victim must re-execute");
                 r
             };
@@ -1194,20 +1150,9 @@ mod tests {
         let tr = gen::cholesky(gen::CholeskyConfig::paper(128));
         let cfg = HilConfig::balanced(8).with_worker_faults([100, 3_000, 3_000, 12_000]);
         for mode in HilMode::ALL {
-            let a = run_hil(&tr, mode, &cfg).unwrap();
-            let b = run_hil(&tr, mode, &cfg).unwrap();
+            let a = run(&tr, mode, &cfg).unwrap().0;
+            let b = run(&tr, mode, &cfg).unwrap().0;
             assert_eq!(a, b, "{mode}");
-        }
-    }
-
-    fn feed_range(s: &mut HilSession, tr: &Trace, range: std::ops::Range<usize>) {
-        for i in range {
-            if tr.barriers().contains(&(i as u32)) {
-                s.barrier();
-            }
-            while s.submit(&tr.tasks()[i]) == Admission::Backpressured {
-                assert!(s.step(), "backpressured session must progress");
-            }
         }
     }
 
@@ -1220,8 +1165,8 @@ mod tests {
             for pause in [0, 9, tr.len() / 2] {
                 let mut cont = HilSession::new(mode, cfg.clone(), scfg).unwrap();
                 let mut live = HilSession::new(mode, cfg.clone(), scfg).unwrap();
-                feed_range(&mut cont, &tr, 0..pause);
-                feed_range(&mut live, &tr, 0..pause);
+                feed_range(&mut cont, &tr, 0..pause).unwrap();
+                feed_range(&mut live, &tr, 0..pause).unwrap();
 
                 // Snapshot through the JSON text codec, restore into a
                 // fresh identically-configured session.
@@ -1230,8 +1175,8 @@ mod tests {
                 let mut restored = HilSession::new(mode, cfg.clone(), scfg).unwrap();
                 restored.load_state(&snap).unwrap();
 
-                feed_range(&mut cont, &tr, pause..tr.len());
-                feed_range(&mut restored, &tr, pause..tr.len());
+                feed_range(&mut cont, &tr, pause..tr.len()).unwrap();
+                feed_range(&mut restored, &tr, pause..tr.len()).unwrap();
                 let a = cont.into_output().unwrap();
                 let b = restored.into_output().unwrap();
                 assert_eq!(a, b, "{mode} pause {pause}");
@@ -1245,20 +1190,20 @@ mod tests {
         let cfg = HilConfig::balanced(4);
         let mut orig =
             HilSession::new(HilMode::FullSystem, cfg.clone(), SessionConfig::batch()).unwrap();
-        feed_range(&mut orig, &tr, 0..24);
+        feed_range(&mut orig, &tr, 0..24).unwrap();
         let baseline = orig.save_state();
 
         let mut fork = orig.clone();
-        feed_range(&mut fork, &tr, 24..tr.len());
-        let forked = fork.into_report().unwrap();
+        feed_range(&mut fork, &tr, 24..tr.len()).unwrap();
+        let forked = fork.into_output().unwrap();
 
         // Driving the fork to completion left the original untouched.
         assert_eq!(
             picos_trace::snap::value_to_json(&orig.save_state()),
             picos_trace::snap::value_to_json(&baseline)
         );
-        feed_range(&mut orig, &tr, 24..tr.len());
-        assert_eq!(orig.into_report().unwrap(), forked);
+        feed_range(&mut orig, &tr, 24..tr.len()).unwrap();
+        assert_eq!(orig.into_output().unwrap(), forked);
     }
 
     #[test]
@@ -1270,7 +1215,7 @@ mod tests {
             SessionConfig::batch(),
         )
         .unwrap();
-        feed_range(&mut a, &tr, 0..tr.len().min(8));
+        feed_range(&mut a, &tr, 0..tr.len().min(8)).unwrap();
         let snap = a.save_state();
 
         let mut wrong_mode = HilSession::new(

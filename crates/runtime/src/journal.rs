@@ -225,12 +225,12 @@ mod tests {
         let mut live = JournaledSession::new(perfect(4, SessionConfig::batch()));
         feed_trace(&mut live, &trace).unwrap();
         let (live, journal) = live.into_parts();
-        let original = live.into_report();
+        let original = live.into_output().0;
 
         assert_eq!(journal.submitted(), trace.len());
         let mut recovered = perfect(4, SessionConfig::batch());
         replay_journal(&mut recovered, &journal).unwrap();
-        assert_eq!(recovered.into_report(), original);
+        assert_eq!(recovered.into_output().0, original);
     }
 
     #[test]
@@ -239,13 +239,13 @@ mod tests {
         let mut live = JournaledSession::new(perfect(2, SessionConfig::windowed(3)));
         feed_trace(&mut live, &trace).unwrap();
         let (live, journal) = live.into_parts();
-        let original = live.into_report();
+        let original = live.into_output().0;
         // Every task appears exactly once despite backpressure retries.
         assert_eq!(journal.submitted(), trace.len());
 
         let mut recovered = perfect(2, SessionConfig::windowed(3));
         replay_journal(&mut recovered, &journal).unwrap();
-        assert_eq!(recovered.into_report(), original);
+        assert_eq!(recovered.into_output().0, original);
     }
 
     /// Rebuilds the first `n` ops of a journal as a standalone journal
@@ -268,7 +268,7 @@ mod tests {
         let mut live = JournaledSession::new(perfect(3, SessionConfig::windowed(8)));
         feed_trace(&mut live, &trace).unwrap();
         let (live, journal) = live.into_parts();
-        let original = live.into_report();
+        let original = live.into_output().0;
 
         for cut in [0, 1, journal.len() / 2, journal.len()] {
             // The checkpoint: state at op cursor `cut`, through JSON.
@@ -280,7 +280,7 @@ mod tests {
             let mut rec = perfect(3, SessionConfig::windowed(8));
             rec.load_state(&snap).unwrap();
             replay_journal_tail(&mut rec, &journal, cut).unwrap();
-            assert_eq!(rec.into_report(), original, "cut {cut}");
+            assert_eq!(rec.into_output().0, original, "cut {cut}");
         }
     }
 
@@ -307,11 +307,11 @@ mod tests {
         feed_trace(&mut live, &trace).unwrap();
         live.advance_to(10_000);
         let (live, journal) = live.into_parts();
-        let original = live.into_report();
+        let original = live.into_output().0;
 
         let journal = picos_trace::SessionJournal::from_json(&journal.to_json()).unwrap();
         let mut recovered = perfect(4, SessionConfig::batch());
         replay_journal(&mut recovered, &journal).unwrap();
-        assert_eq!(recovered.into_report(), original);
+        assert_eq!(recovered.into_output().0, original);
     }
 }

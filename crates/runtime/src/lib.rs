@@ -2,31 +2,42 @@
 //!
 //! Two baselines from the paper's evaluation live here:
 //!
-//! * [`run_software`] — a discrete-event model of the **Nanos++**
+//! * [`SoftwareSession`] — a discrete-event model of the **Nanos++**
 //!   software-only runtime: serial task creation/submission with the
 //!   measured overhead magnitudes of the paper's Figure 10, a contended
 //!   scheduler lock, and the real dependence-analysis algorithm
 //!   ([`SoftwareDeps`]).
-//! * [`perfect_schedule`] — the **Perfect Simulator**: zero-overhead list
+//! * [`PerfectSession`] — the **Perfect Simulator**: zero-overhead list
 //!   scheduling, giving the roofline speedup of each application.
 //!
-//! Both engines are built as incremental streaming sessions
-//! ([`SoftwareSession`], [`PerfectSession`]); this crate also hosts the
-//! session vocabulary every engine shares ([`SessionCore`], [`Admission`],
-//! [`SimEvent`], [`SessionConfig`], [`feed_trace`]) — see the [`session`]
-//! module for the timing semantics.
+//! Both engines are incremental streaming sessions: open one, feed it a
+//! trace ([`feed_trace`]) or submit tasks one by one, and finish it with
+//! its `into_output`. This crate also hosts the session vocabulary every
+//! engine shares ([`SessionCore`], [`Admission`], [`SimEvent`],
+//! [`SessionConfig`], [`feed_trace`], [`feed_range`]) — see the
+//! [`session`] module for the timing semantics.
 //!
 //! # Quick example
 //!
 //! ```
-//! use picos_runtime::{perfect_schedule, run_software, SwRuntimeConfig};
+//! use picos_runtime::{
+//!     feed_trace, PerfectSession, SessionConfig, SoftwareSession, SwRuntimeConfig,
+//! };
 //! use picos_trace::gen;
 //!
 //! let trace = gen::cholesky(gen::CholeskyConfig::paper(128));
-//! let roofline = perfect_schedule(&trace, 12);
-//! let nanos = run_software(&trace, SwRuntimeConfig::with_workers(12))?;
+//!
+//! let mut perfect = PerfectSession::new(12, SessionConfig::batch())?;
+//! feed_trace(&mut perfect, &trace)?;
+//! let (roofline, _spans) = perfect.into_output();
+//!
+//! let nanos_cfg = SwRuntimeConfig::with_workers(12);
+//! let mut nanos = SoftwareSession::new(nanos_cfg, SessionConfig::batch())?;
+//! feed_trace(&mut nanos, &trace)?;
+//! let (nanos, _spans) = nanos.into_output()?;
+//!
 //! assert!(roofline.speedup() >= nanos.speedup());
-//! # Ok::<(), picos_runtime::SwError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -45,9 +56,10 @@ pub mod snap;
 pub use cost::NanosCostModel;
 pub use depmap::SoftwareDeps;
 pub use journal::{replay_journal, replay_journal_tail, JournaledSession};
-pub use perfect::{perfect_schedule, PerfectSession};
+pub use perfect::PerfectSession;
 pub use report::ExecReport;
 pub use session::{
-    feed_trace, Admission, EventLoopCore, FeedStall, SessionConfig, SessionCore, SimEvent,
+    feed_range, feed_trace, Admission, EventLoopCore, FeedStall, SessionConfig, SessionCore,
+    SimEvent,
 };
-pub use simrt::{run_software, SoftwareSession, SwError, SwRuntimeConfig};
+pub use simrt::{SoftwareSession, SwError, SwRuntimeConfig};

@@ -5,16 +5,17 @@
 //! application" (Section IV-A). This module implements it as an
 //! incremental [`PerfectSession`]: tasks start the moment a worker is free
 //! and every predecessor has finished; scheduling, dependence management
-//! and communication cost nothing. [`perfect_schedule`] is the batch
-//! driver over a session.
+//! and communication cost nothing. A batch run feeds the whole trace
+//! ([`feed_trace`](crate::feed_trace)) and finishes with
+//! [`PerfectSession::into_output`].
 
 use crate::depmap::SoftwareDeps;
 use crate::report::ExecReport;
 use crate::session::{
-    feed_trace, Admission, EventLog, Ingest, ScheduleLog, SessionConfig, SessionCore, SimEvent,
+    Admission, EventLog, Ingest, ScheduleLog, SessionConfig, SessionCore, SimEvent,
 };
 use picos_metrics::span::{SpanKind, SpanLog};
-use picos_trace::{TaskDescriptor, TaskId, Trace};
+use picos_trace::{TaskDescriptor, TaskId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -23,8 +24,8 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Ready tasks start in creation order (the tie-break the runtime's FIFO
 /// queue would produce) the instant a worker is free; dependence analysis
 /// is the real incremental algorithm ([`SoftwareDeps`]) at zero cycle
-/// cost. Feeding a whole trace and finishing reproduces
-/// [`perfect_schedule`] bit-exactly.
+/// cost. Feeding a whole trace and finishing gives the same schedule as
+/// any streamed feed of it.
 ///
 /// Cloning is a deep copy of the full dynamic state — the fork primitive
 /// of the snapshot subsystem.
@@ -244,14 +245,9 @@ impl PerfectSession {
         Ok(())
     }
 
-    /// Runs the session to quiescence and returns the schedule report.
-    pub fn into_report(self) -> ExecReport {
-        self.into_output().0
-    }
-
-    /// Like [`PerfectSession::into_report`], and also returns the span
-    /// log (recording order) when the session was opened with
-    /// [`SessionConfig::trace_spans`].
+    /// Runs the session to quiescence and returns the schedule report,
+    /// plus the span log (recording order) when the session was opened
+    /// with [`SessionConfig::trace_spans`].
     pub fn into_output(mut self) -> (ExecReport, Option<SpanLog>) {
         self.pump();
         while self.fire_next() {}
@@ -318,23 +314,18 @@ impl SessionCore for PerfectSession {
     }
 }
 
-/// Runs the zero-overhead list scheduler with `workers` workers: opens a
-/// [`PerfectSession`], feeds the whole trace and finishes it.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn perfect_schedule(trace: &Trace, workers: usize) -> ExecReport {
-    let mut s =
-        PerfectSession::new(workers, SessionConfig::batch()).expect("need at least one worker");
-    feed_trace(&mut s, trace).expect("unbounded window cannot stall");
-    s.into_report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{feed_range, feed_trace};
     use picos_trace::{gen, Dependence, KernelClass, Trace};
+
+    /// A batch run: opens a session, feeds the whole trace and finishes.
+    fn run(tr: &Trace, workers: usize) -> ExecReport {
+        let mut s = PerfectSession::new(workers, SessionConfig::batch()).unwrap();
+        feed_trace(&mut s, tr).unwrap();
+        s.into_output().0
+    }
 
     #[test]
     fn independent_tasks_scale_linearly() {
@@ -343,7 +334,7 @@ mod tests {
             tr.push(KernelClass::GENERIC, [], 100);
         }
         for w in [1, 2, 4, 8] {
-            let r = perfect_schedule(&tr, w);
+            let r = run(&tr, w);
             assert_eq!(r.makespan, 800 / w as u64);
             assert!((r.speedup() - w as f64).abs() < 1e-9);
             r.validate(&tr).unwrap();
@@ -356,7 +347,7 @@ mod tests {
         for _ in 0..10 {
             tr.push(KernelClass::GENERIC, [Dependence::inout(0xA)], 50);
         }
-        let r = perfect_schedule(&tr, 8);
+        let r = run(&tr, 8);
         assert_eq!(r.makespan, 500);
         assert!((r.speedup() - 1.0).abs() < 1e-9);
     }
@@ -369,7 +360,7 @@ mod tests {
             let cp = g.critical_path();
             let work = tr.sequential_time();
             for w in [1usize, 3, 7] {
-                let r = perfect_schedule(&tr, w);
+                let r = run(&tr, w);
                 assert!(r.makespan >= cp, "seed {seed} w {w}");
                 assert!(r.makespan >= work.div_ceil(w as u64), "seed {seed} w {w}");
                 assert!(r.makespan <= work, "seed {seed} w {w}");
@@ -382,7 +373,7 @@ mod tests {
     fn infinite_workers_hit_critical_path() {
         let tr = gen::cholesky(gen::CholeskyConfig::paper(256));
         let g = picos_trace::TaskGraph::build(&tr);
-        let r = perfect_schedule(&tr, tr.len());
+        let r = run(&tr, tr.len());
         assert_eq!(r.makespan, g.critical_path());
     }
 
@@ -391,7 +382,7 @@ mod tests {
         let tr = gen::heat(gen::HeatConfig::paper(128));
         let mut prev = 0.0;
         for w in [1, 2, 4, 8, 16] {
-            let s = perfect_schedule(&tr, w).speedup();
+            let s = run(&tr, w).speedup();
             assert!(s + 1e-9 >= prev, "w {w}: {s} < {prev}");
             prev = s;
         }
@@ -400,7 +391,7 @@ mod tests {
     #[test]
     fn single_worker_is_sequential() {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(256));
-        let r = perfect_schedule(&tr, 1);
+        let r = run(&tr, 1);
         assert_eq!(r.makespan, tr.sequential_time());
     }
 
@@ -417,7 +408,7 @@ mod tests {
         }
         tr.push_taskwait();
         tr.push(KernelClass::GENERIC, [], 100);
-        let r = perfect_schedule(&tr, 4);
+        let r = run(&tr, 4);
         r.validate(&tr).unwrap();
         assert_eq!(r.start[4], 100, "post-barrier task waits for the prefix");
     }
@@ -432,7 +423,7 @@ mod tests {
         assert_eq!(s.submit(&tr.tasks()[0]), Admission::Accepted);
         assert!(!s.step(), "open unblocked session must not advance");
         assert_eq!(s.now(), 0);
-        let r = s.into_report();
+        let r = s.into_output().0;
         assert_eq!(r.makespan, 50);
     }
 
@@ -456,7 +447,7 @@ mod tests {
             }
         }
         assert!(backpressured > 0);
-        let r = s.into_report();
+        let r = s.into_output().0;
         r.validate(&tr).unwrap();
         assert_eq!(r.makespan, 100);
     }
@@ -470,22 +461,9 @@ mod tests {
         s.submit(&tr.tasks()[0]);
         s.advance_to(500);
         s.submit(&tr.tasks()[1]);
-        let r = s.into_report();
+        let r = s.into_output().0;
         assert_eq!(r.start[0], 0);
         assert_eq!(r.start[1], 500, "second task arrived at cycle 500");
-    }
-
-    /// Feeds tasks `range` of the trace (with any taskwait gates at their
-    /// recorded positions), stepping through backpressure.
-    fn feed_range(s: &mut PerfectSession, tr: &Trace, range: std::ops::Range<usize>) {
-        for i in range {
-            if tr.barriers().contains(&(i as u32)) {
-                s.barrier();
-            }
-            while s.submit(&tr.tasks()[i]) == Admission::Backpressured {
-                assert!(s.step(), "backpressured session must progress");
-            }
-        }
     }
 
     #[test]
@@ -498,8 +476,8 @@ mod tests {
         for pause in [0usize, 7, 40] {
             let mut cont = PerfectSession::new(4, cfg).unwrap();
             let mut live = PerfectSession::new(4, cfg).unwrap();
-            feed_range(&mut cont, &tr, 0..pause);
-            feed_range(&mut live, &tr, 0..pause);
+            feed_range(&mut cont, &tr, 0..pause).unwrap();
+            feed_range(&mut live, &tr, 0..pause).unwrap();
             // Snapshot through the JSON text form, restore into a fresh
             // identically-configured session.
             let text = picos_trace::snap::value_to_json(&live.save_state());
@@ -507,8 +485,8 @@ mod tests {
             let mut restored = PerfectSession::new(4, cfg).unwrap();
             restored.load_state(&v).unwrap();
             assert_eq!(restored.now(), live.now(), "pause {pause}");
-            feed_range(&mut cont, &tr, pause..tr.len());
-            feed_range(&mut restored, &tr, pause..tr.len());
+            feed_range(&mut cont, &tr, pause..tr.len()).unwrap();
+            feed_range(&mut restored, &tr, pause..tr.len()).unwrap();
             let (rc, sc) = cont.into_output();
             let (rr, sr) = restored.into_output();
             assert_eq!(rc, rr, "pause {pause}: report diverged");
@@ -520,19 +498,19 @@ mod tests {
     fn fork_is_an_independent_replica() {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
         let mut live = PerfectSession::new(2, SessionConfig::windowed(8)).unwrap();
-        feed_range(&mut live, &tr, 0..24);
+        feed_range(&mut live, &tr, 0..24).unwrap();
         let fork = live.clone();
         // Drive the fork to completion; the original must be untouched.
         let before_now = live.now();
         let before_inflight = live.in_flight();
         let mut fork = fork;
-        feed_range(&mut fork, &tr, 24..tr.len());
-        let rf = fork.into_report();
+        feed_range(&mut fork, &tr, 24..tr.len()).unwrap();
+        let rf = fork.into_output().0;
         rf.validate(&tr).unwrap();
         assert_eq!(live.now(), before_now);
         assert_eq!(live.in_flight(), before_inflight);
-        feed_range(&mut live, &tr, 24..tr.len());
-        assert_eq!(live.into_report(), rf, "fork and original agree");
+        feed_range(&mut live, &tr, 24..tr.len()).unwrap();
+        assert_eq!(live.into_output().0, rf, "fork and original agree");
     }
 
     #[test]

@@ -28,6 +28,7 @@ use picos_trace::snap::{Dec, Enc};
 use picos_trace::{SnapError, TaskDescriptor, Trace, Value};
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 
 /// Outcome of submitting a task to a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,14 +110,6 @@ impl SessionConfig {
     pub fn windowed(window: usize) -> Self {
         SessionConfig {
             window: Some(window),
-            ..SessionConfig::default()
-        }
-    }
-
-    /// Batch defaults plus a cycle-windowed telemetry sampler.
-    pub fn timed(timeline_window: u64) -> Self {
-        SessionConfig {
-            timeline_window: Some(timeline_window),
             ..SessionConfig::default()
         }
     }
@@ -358,11 +351,29 @@ pub fn feed_trace<S: SessionCore + ?Sized>(
     trace: &Trace,
 ) -> Result<(), FeedStall> {
     session.reserve(trace.len());
-    let mut barriers = trace.barriers().iter().peekable();
-    for (i, task) in trace.iter().enumerate() {
-        while barriers.peek() == Some(&&(i as u32)) {
+    feed_range(session, trace, 0..trace.len())
+}
+
+/// Feeds tasks `range` of a trace like [`feed_trace`] feeds all of them:
+/// each taskwait barrier recorded at position `i` in the range is declared
+/// right before task `i`. Feeding consecutive ranges equals feeding the
+/// whole trace, which is how snapshot, fork and what-if replicas resume a
+/// partially fed workload.
+///
+/// # Errors
+///
+/// See [`feed_trace`].
+pub fn feed_range<S: SessionCore + ?Sized>(
+    session: &mut S,
+    trace: &Trace,
+    range: Range<usize>,
+) -> Result<(), FeedStall> {
+    let barriers = trace.barriers();
+    let mut next = barriers.partition_point(|&b| (b as usize) < range.start);
+    for (i, task) in range.clone().zip(&trace.tasks()[range]) {
+        while barriers.get(next) == Some(&(i as u32)) {
             session.barrier();
-            barriers.next();
+            next += 1;
         }
         loop {
             match session.submit(task) {

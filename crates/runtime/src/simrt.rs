@@ -12,7 +12,9 @@
 //! The model is an incremental [`SoftwareSession`]: the master pulls from
 //! the session's ingest queue (starving when the client has not submitted
 //! the next task yet, parking at declared taskwaits) instead of walking a
-//! pre-loaded trace. [`run_software`] is the batch driver over a session.
+//! pre-loaded trace. A batch run feeds the whole trace
+//! ([`feed_trace`](crate::feed_trace)) and finishes with
+//! [`SoftwareSession::into_output`].
 //!
 //! This is the reproduction's stand-in for the paper's Nanos++ baseline: its
 //! throughput is bounded by the master (creation + submission per task) and
@@ -23,10 +25,10 @@ use crate::cost::NanosCostModel;
 use crate::depmap::SoftwareDeps;
 use crate::report::ExecReport;
 use crate::session::{
-    feed_trace, Admission, EventLog, Ingest, ScheduleLog, SessionConfig, SessionCore, SimEvent,
+    Admission, EventLog, Ingest, ScheduleLog, SessionConfig, SessionCore, SimEvent,
 };
 use picos_metrics::span::{SpanKind, SpanLog};
-use picos_trace::{TaskDescriptor, TaskId, Trace};
+use picos_trace::{TaskDescriptor, TaskId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -161,9 +163,9 @@ fn ev_from(code: u64, a: u64, b: u64) -> Result<Ev, picos_trace::SnapError> {
 
 /// An incremental session of the Nanos++ runtime model.
 ///
-/// Feeding a whole trace and finishing reproduces [`run_software`]
-/// bit-exactly; submitting after advancing the clock models tasks the
-/// program discovered late (open-loop arrival).
+/// Feeding a whole trace and finishing is the batch run; submitting after
+/// advancing the clock models tasks the program discovered late
+/// (open-loop arrival).
 ///
 /// Cloning is a deep copy of the full dynamic state — the fork primitive
 /// of the snapshot subsystem.
@@ -527,23 +529,14 @@ impl SoftwareSession {
         Ok(())
     }
 
-    /// Closes the session, runs it to quiescence and returns the report.
+    /// Closes the session, runs it to quiescence and returns the report,
+    /// plus the span log (recording order) when the session was opened
+    /// with [`SessionConfig::trace_spans`].
     ///
     /// # Errors
     ///
     /// Returns [`SwError::Stuck`] if tasks remain unfinished (an engine
     /// bug).
-    pub fn into_report(self) -> Result<ExecReport, SwError> {
-        self.into_output().map(|(r, _)| r)
-    }
-
-    /// Like [`SoftwareSession::into_report`], and also returns the span
-    /// log (recording order) when the session was opened with
-    /// [`SessionConfig::trace_spans`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SoftwareSession::into_report`].
     pub fn into_output(mut self) -> Result<(ExecReport, Option<SpanLog>), SwError> {
         self.closed = true;
         if self.master == Master::Starved {
@@ -626,31 +619,25 @@ impl SessionCore for SoftwareSession {
     }
 }
 
-/// Runs a trace on the software runtime model: opens a
-/// [`SoftwareSession`], feeds the whole trace and finishes it.
-///
-/// # Errors
-///
-/// Returns [`SwError::Config`] for a zero worker count (or one worker with
-/// `master_executes` disabled) and [`SwError::Stuck`] if the simulation
-/// cannot finish (which would indicate an internal bug).
-pub fn run_software(trace: &Trace, cfg: SwRuntimeConfig) -> Result<ExecReport, SwError> {
-    let mut s = SoftwareSession::new(cfg, SessionConfig::batch())?;
-    feed_trace(&mut s, trace).expect("unbounded window cannot stall");
-    s.into_report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use picos_trace::gen;
+    use crate::session::{feed_range, feed_trace};
+    use picos_trace::{gen, Trace};
+
+    /// A batch run: opens a session, feeds the whole trace and finishes.
+    fn run(tr: &Trace, cfg: SwRuntimeConfig) -> Result<ExecReport, SwError> {
+        let mut s = SoftwareSession::new(cfg, SessionConfig::batch())?;
+        feed_trace(&mut s, tr).unwrap();
+        s.into_output().map(|(r, _)| r)
+    }
 
     #[test]
     fn completes_and_validates_on_all_apps_coarse() {
         for app in gen::App::ALL {
             let bs = app.paper_block_sizes()[0];
             let tr = app.generate(bs);
-            let r = run_software(&tr, SwRuntimeConfig::with_workers(4)).unwrap();
+            let r = run(&tr, SwRuntimeConfig::with_workers(4)).unwrap();
             r.validate(&tr).unwrap_or_else(|e| panic!("{app}: {e}"));
             assert!(r.speedup() > 0.5, "{app}: {}", r.speedup());
         }
@@ -660,7 +647,7 @@ mod tests {
     fn speedup_bounded_by_workers() {
         let tr = gen::cholesky(gen::CholeskyConfig::paper(128));
         for w in [2, 4, 8] {
-            let r = run_software(&tr, SwRuntimeConfig::with_workers(w)).unwrap();
+            let r = run(&tr, SwRuntimeConfig::with_workers(w)).unwrap();
             assert!(r.speedup() <= w as f64 + 1e-9, "w {w}: {}", r.speedup());
         }
     }
@@ -669,19 +656,19 @@ mod tests {
     fn coarse_tasks_scale_fine_tasks_collapse() {
         // The Figure 1 phenomenon: with constant problem size, decreasing
         // block size first helps then hurts.
-        let s256 = run_software(
+        let s256 = run(
             &gen::cholesky(gen::CholeskyConfig::paper(256)),
             SwRuntimeConfig::with_workers(12),
         )
         .unwrap()
         .speedup();
-        let s64 = run_software(
+        let s64 = run(
             &gen::cholesky(gen::CholeskyConfig::paper(64)),
             SwRuntimeConfig::with_workers(12),
         )
         .unwrap()
         .speedup();
-        let s32 = run_software(
+        let s32 = run(
             &gen::cholesky(gen::CholeskyConfig::paper(32)),
             SwRuntimeConfig::with_workers(12),
         )
@@ -703,7 +690,7 @@ mod tests {
         // With tiny tasks the makespan approaches N * per-task overhead.
         let tr = gen::synthetic(gen::Case::Case2);
         let cfg = SwRuntimeConfig::with_workers(4);
-        let r = run_software(&tr, cfg).unwrap();
+        let r = run(&tr, cfg).unwrap();
         let per_task = cfg.cost.per_task(1, 4);
         let lower = tr.len() as u64 * per_task;
         assert!(r.makespan >= lower, "{} < {lower}", r.makespan);
@@ -713,8 +700,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
-        let a = run_software(&tr, SwRuntimeConfig::with_workers(8)).unwrap();
-        let b = run_software(&tr, SwRuntimeConfig::with_workers(8)).unwrap();
+        let a = run(&tr, SwRuntimeConfig::with_workers(8)).unwrap();
+        let b = run(&tr, SwRuntimeConfig::with_workers(8)).unwrap();
         assert_eq!(a, b);
     }
 
@@ -722,7 +709,7 @@ mod tests {
     fn config_validation() {
         let tr = gen::synthetic(gen::Case::Case1);
         assert!(matches!(
-            run_software(
+            run(
                 &tr,
                 SwRuntimeConfig {
                     workers: 0,
@@ -733,13 +720,13 @@ mod tests {
         ));
         let mut cfg = SwRuntimeConfig::with_workers(1);
         cfg.master_executes = false;
-        assert!(matches!(run_software(&tr, cfg), Err(SwError::Config(_))));
+        assert!(matches!(run(&tr, cfg), Err(SwError::Config(_))));
     }
 
     #[test]
     fn empty_trace() {
         let tr = picos_trace::Trace::new("empty");
-        let r = run_software(&tr, SwRuntimeConfig::with_workers(2)).unwrap();
+        let r = run(&tr, SwRuntimeConfig::with_workers(2)).unwrap();
         assert_eq!(r.makespan, 0);
         assert!(r.order.is_empty());
     }
@@ -747,7 +734,7 @@ mod tests {
     #[test]
     fn single_worker_executes_everything() {
         let tr = gen::synthetic(gen::Case::Case4);
-        let r = run_software(&tr, SwRuntimeConfig::with_workers(1)).unwrap();
+        let r = run(&tr, SwRuntimeConfig::with_workers(1)).unwrap();
         r.validate(&tr).unwrap();
         assert_eq!(r.order.len(), 100);
     }
@@ -756,11 +743,11 @@ mod tests {
     fn session_matches_batch_run_one_task_at_a_time() {
         let tr = gen::synthetic(gen::Case::Case3);
         let cfg = SwRuntimeConfig::with_workers(6);
-        let batch = run_software(&tr, cfg).unwrap();
+        let batch = run(&tr, cfg).unwrap();
         let mut s = SoftwareSession::new(cfg, SessionConfig::batch()).unwrap();
         feed_trace(&mut s, &tr).unwrap();
         assert_eq!(s.in_flight(), tr.len());
-        let streamed = s.into_report().unwrap();
+        let streamed = s.into_output().unwrap().0;
         assert_eq!(batch, streamed);
     }
 
@@ -778,22 +765,9 @@ mod tests {
             SoftwareSession::new(SwRuntimeConfig::with_workers(4), SessionConfig::windowed(2))
                 .unwrap();
         feed_trace(&mut s, &tr).expect("no spurious FeedStall");
-        let r = s.into_report().unwrap();
+        let r = s.into_output().unwrap().0;
         assert_eq!(r.order.len(), 3);
         r.validate(&tr).unwrap();
-    }
-
-    /// Feeds tasks `range` of the trace (with any taskwait gates at their
-    /// recorded positions), stepping through backpressure.
-    fn feed_range(s: &mut SoftwareSession, tr: &picos_trace::Trace, range: std::ops::Range<usize>) {
-        for i in range {
-            if tr.barriers().contains(&(i as u32)) {
-                s.barrier();
-            }
-            while s.submit(&tr.tasks()[i]) == Admission::Backpressured {
-                assert!(s.step(), "backpressured session must progress");
-            }
-        }
     }
 
     #[test]
@@ -808,16 +782,16 @@ mod tests {
         for pause in [0usize, 9, 33] {
             let mut cont = SoftwareSession::new(cfg, scfg).unwrap();
             let mut live = SoftwareSession::new(cfg, scfg).unwrap();
-            feed_range(&mut cont, &tr, 0..pause);
-            feed_range(&mut live, &tr, 0..pause);
+            feed_range(&mut cont, &tr, 0..pause).unwrap();
+            feed_range(&mut live, &tr, 0..pause).unwrap();
             let text = picos_trace::snap::value_to_json(&live.save_state());
             let v = picos_trace::snap::value_from_json(&text).unwrap();
             let mut restored = SoftwareSession::new(cfg, scfg).unwrap();
             restored.load_state(&v).unwrap();
             assert_eq!(restored.now(), live.now(), "pause {pause}");
             assert_eq!(restored.in_flight(), live.in_flight(), "pause {pause}");
-            feed_range(&mut cont, &tr, pause..tr.len());
-            feed_range(&mut restored, &tr, pause..tr.len());
+            feed_range(&mut cont, &tr, pause..tr.len()).unwrap();
+            feed_range(&mut restored, &tr, pause..tr.len()).unwrap();
             let mut ec = Vec::new();
             let mut er = Vec::new();
             cont.drain_events(&mut ec);
@@ -835,15 +809,15 @@ mod tests {
         let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
         let cfg = SwRuntimeConfig::with_workers(4);
         let mut live = SoftwareSession::new(cfg, SessionConfig::windowed(8)).unwrap();
-        feed_range(&mut live, &tr, 0..20);
+        feed_range(&mut live, &tr, 0..20).unwrap();
         let mut fork = live.clone();
         let before_now = live.now();
-        feed_range(&mut fork, &tr, 20..tr.len());
-        let rf = fork.into_report().unwrap();
+        feed_range(&mut fork, &tr, 20..tr.len()).unwrap();
+        let rf = fork.into_output().unwrap().0;
         rf.validate(&tr).unwrap();
         assert_eq!(live.now(), before_now, "fork must not disturb the original");
-        feed_range(&mut live, &tr, 20..tr.len());
-        assert_eq!(live.into_report().unwrap(), rf);
+        feed_range(&mut live, &tr, 20..tr.len()).unwrap();
+        assert_eq!(live.into_output().unwrap().0, rf);
     }
 
     #[test]
@@ -877,7 +851,7 @@ mod tests {
             }
         }
         assert!(retries > 0, "a 3-task window must backpressure");
-        let r = s.into_report().unwrap();
+        let r = s.into_output().unwrap().0;
         r.validate(&tr).unwrap();
     }
 }

@@ -54,7 +54,7 @@ pub mod server;
 pub mod service;
 
 pub use proto::{parse_response, Request, Response, ServeHandle};
-pub use server::{serve, serve_on, ServerHandle};
+pub use server::{serve, serve_on, ServerHandle, MAX_LINE_BYTES};
 pub use service::{
     schedule_digest, Scrape, ServeConfig, ServeError, Service, SubmitOutcome, TenantSpec,
     TenantStats,

@@ -11,7 +11,7 @@
 //! ([`Service::run_until_idle`](crate::Service::run_until_idle)) and every
 //! journal is flushed before the thread exits.
 
-use crate::proto::ServeHandle;
+use crate::proto::{Response, ServeHandle};
 use crate::service::ServeConfig;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -19,12 +19,23 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Longest request line a client may send, newline excluded. No verb
+/// carries bulk data, so a longer line is a broken or hostile client: it
+/// gets one protocol error line and is disconnected, which bounds each
+/// client's input buffer.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// One connected client: the stream plus its line-reassembly buffers.
 #[derive(Debug)]
 struct Client {
     stream: TcpStream,
     inbuf: Vec<u8>,
+    /// Prefix of `inbuf` already searched for a newline.
+    scanned: usize,
     outbuf: Vec<u8>,
+    /// Over-long line seen: read nothing more, close once `outbuf` (which
+    /// ends with the error line) is flushed.
+    hangup: bool,
     closed: bool,
 }
 
@@ -117,7 +128,9 @@ pub fn serve_on(cfg: ServeConfig, listener: TcpListener, stop: &AtomicBool) -> s
                     clients.push(Client {
                         stream,
                         inbuf: Vec::new(),
+                        scanned: 0,
                         outbuf: Vec::new(),
+                        hangup: false,
                         closed: false,
                     });
                     busy = true;
@@ -158,7 +171,9 @@ pub fn serve_on(cfg: ServeConfig, listener: TcpListener, stop: &AtomicBool) -> s
 /// One I/O turn for one client; returns whether anything happened.
 fn pump(c: &mut Client, handle: &mut ServeHandle, chunk: &mut [u8]) -> bool {
     let mut busy = false;
-    loop {
+    // Stop reading once the buffer could hold an over-long line, so a
+    // client that never sends a newline cannot grow it further.
+    while !c.hangup && c.inbuf.len() <= MAX_LINE_BYTES {
         match c.stream.read(chunk) {
             Ok(0) => {
                 c.closed = true;
@@ -179,10 +194,24 @@ fn pump(c: &mut Client, handle: &mut ServeHandle, chunk: &mut [u8]) -> bool {
             }
         }
     }
-    // Execute every complete line in the input buffer.
-    while let Some(nl) = c.inbuf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = c.inbuf.drain(..=nl).collect();
-        let line = String::from_utf8_lossy(&line[..nl]);
+    // Execute every complete line in the input buffer, searching only the
+    // bytes not scanned on an earlier turn.
+    let mut start = 0;
+    while !c.hangup {
+        let Some(off) = c.inbuf[c.scanned..].iter().position(|&b| b == b'\n') else {
+            if c.inbuf.len() - start > MAX_LINE_BYTES {
+                overlong(c);
+            }
+            break;
+        };
+        let nl = c.scanned + off;
+        c.scanned = nl + 1;
+        if nl - start > MAX_LINE_BYTES {
+            overlong(c);
+            break;
+        }
+        let line = String::from_utf8_lossy(&c.inbuf[start..nl]);
+        start = nl + 1;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -192,6 +221,12 @@ fn pump(c: &mut Client, handle: &mut ServeHandle, chunk: &mut [u8]) -> bool {
         c.outbuf.push(b'\n');
         busy = true;
     }
+    if c.hangup {
+        c.inbuf.clear();
+    } else {
+        c.inbuf.drain(..start);
+    }
+    c.scanned = c.inbuf.len();
     // Flush as much of the output buffer as the socket takes.
     while !c.outbuf.is_empty() {
         match c.stream.write(&c.outbuf) {
@@ -211,5 +246,18 @@ fn pump(c: &mut Client, handle: &mut ServeHandle, chunk: &mut [u8]) -> bool {
             }
         }
     }
+    if c.hangup && c.outbuf.is_empty() {
+        c.closed = true;
+        return true;
+    }
     busy
+}
+
+/// Answers an over-long request line with one protocol error and marks
+/// the client for disconnection once that error is flushed.
+fn overlong(c: &mut Client) {
+    let err = Response::Err(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+    c.outbuf.extend_from_slice(err.to_line().as_bytes());
+    c.outbuf.push(b'\n');
+    c.hangup = true;
 }

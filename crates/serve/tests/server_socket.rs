@@ -4,9 +4,11 @@
 //! and on the SIGTERM-equivalent [`ServerHandle::shutdown`].
 
 use picos_backend::{Admission, BackendSpec};
-use picos_serve::{schedule_digest, serve, Request, ServeConfig, Service, TenantSpec};
+use picos_serve::{
+    schedule_digest, serve, Request, ServeConfig, Service, TenantSpec, MAX_LINE_BYTES,
+};
 use picos_trace::{gen, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -217,4 +219,41 @@ fn handle_shutdown_flushes_without_wire_traffic() {
     .unwrap();
     assert_eq!(recovered.journal("t").unwrap().submitted(), trace.len());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client that never terminates its line is cut off at
+/// `MAX_LINE_BYTES`: it gets one protocol error line and then EOF, while
+/// another client on the same server keeps being served.
+#[test]
+fn unterminated_line_past_the_limit_is_rejected_and_closed() {
+    let server = serve(ServeConfig::default(), "127.0.0.1:0").unwrap();
+    let mut good = Client::connect(server.addr());
+    let spec = TenantSpec::new(BackendSpec::Perfect, 2);
+    good.call_ok(&Request::Open {
+        tenant: "good".into(),
+        spec,
+    });
+
+    let mut bad = Client::connect(server.addr());
+    bad.writer
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("write");
+    let mut line = String::new();
+    bad.reader.read_line(&mut line).expect("read error line");
+    let v = picos_serve::parse_response(line.trim()).unwrap();
+    let obj = v.as_obj().expect("response object");
+    assert_eq!(obj.get("ok"), Some(&Value::Bool(false)), "{line}");
+    let err = obj.get("error").and_then(Value::as_string).unwrap();
+    assert!(err.contains("exceeds"), "{err}");
+    let mut rest = Vec::new();
+    bad.reader
+        .read_to_end(&mut rest)
+        .expect("EOF after the error");
+    assert!(rest.is_empty(), "nothing follows the error line");
+
+    let v = good.call_ok(&Request::Stats {
+        tenant: "good".into(),
+    });
+    assert!(v.as_obj().unwrap().get("stats").is_some(), "{v:?}");
+    server.shutdown().unwrap();
 }

@@ -38,7 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The paper's "one possible parallel execution ... for a 6 cores
     // machine (tasks with the same color are run in parallel)".
-    let schedule = perfect_schedule(&trace, 6);
+    let schedule = PerfectBackend { workers: 6 }
+        .run(&trace, SessionConfig::batch())?
+        .report;
     schedule.validate(&trace)?;
     let mut waves: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
     for (task, &start) in schedule.start.iter().enumerate() {

@@ -11,7 +11,18 @@
 //! cycle-identical to the HW-only HIL platform, so the 1-shard row *is*
 //! the paper-calibrated baseline.
 
+use picos_repro::core::Stats;
 use picos_repro::prelude::*;
+
+/// Batch-runs the trace through a cluster session, keeping each shard's
+/// hardware counters.
+fn run_shards(trace: &Trace, cfg: ClusterConfig) -> Result<(ExecReport, Vec<Stats>), ClusterError> {
+    let mut session = ClusterSession::new(cfg, SessionConfig::batch())?;
+    feed_trace(&mut session, trace).expect("batch sessions never backpressure");
+    session
+        .into_output()
+        .map(|(report, per_shard, ..)| (report, per_shard))
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workers = 16;
@@ -33,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut baseline = 0u64;
     for shards in [1usize, 2, 4, 8] {
         let cfg = ClusterConfig::balanced(shards, workers);
-        let (report, per_shard) = run_cluster_with_stats(&trace, &cfg)?;
+        let (report, per_shard) = run_shards(&trace, cfg)?;
         report.validate(&trace)?;
         if shards == 1 {
             baseline = report.makespan;
@@ -58,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             policy,
             ..ClusterConfig::balanced(4, workers)
         };
-        let (report, per_shard) = run_cluster_with_stats(&trace, &cfg)?;
+        let (report, per_shard) = run_shards(&trace, cfg)?;
         let total = merged_stats(&per_shard);
         // Fragments submitted beyond one per task crossed the interconnect.
         let cross = total.tasks_submitted - trace.len() as u64;

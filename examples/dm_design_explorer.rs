@@ -25,11 +25,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             trace.len()
         );
         for dm in DmDesign::ALL {
-            let cfg = HilConfig {
-                picos: PicosConfig::baseline(dm),
-                ..HilConfig::balanced(workers)
+            let hil = PicosBackend {
+                mode: HilMode::HwOnly,
+                cfg: HilConfig {
+                    picos: PicosConfig::baseline(dm),
+                    ..HilConfig::balanced(workers)
+                },
             };
-            let (report, stats) = run_hil_with_stats(trace, HilMode::HwOnly, &cfg)?;
+            let out = hil.run(trace, SessionConfig::batch())?;
+            let (report, stats) = (out.report, out.stats.expect("HIL reports counters"));
             report.validate(trace)?;
             let cost = full_picos_resources(&PicosConfig::baseline(dm));
             println!(

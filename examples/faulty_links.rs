@@ -23,7 +23,6 @@
 //! the run terminates with the typed [`ClusterError::LinkTimeout`]
 //! instead of hanging — the fail-stop edge of the fault model.
 
-use picos_repro::cluster::ClusterSession;
 use picos_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,7 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Baseline: no plan attached at all.
-    let plain = run_cluster(&trace, &ClusterConfig::balanced(4, workers))?;
+    let plain = ClusterBackend::balanced(4, workers)
+        .run(&trace, SessionConfig::batch())?
+        .report;
 
     println!("drop%   makespan  slowdown  drops  retries  redeliveries");
     for drop_pct in [0u32, 1, 2, 5, 10, 20] {
@@ -72,7 +73,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_link_timeout(64)
         .with_max_retries(1);
     let cfg = ClusterConfig::balanced(4, workers).with_faults(hopeless);
-    match run_cluster(&trace, &cfg) {
+    let mut session = ClusterSession::new(cfg, SessionConfig::batch())?;
+    feed_trace(&mut session, &trace).expect("batch sessions never backpressure");
+    match session.into_output() {
         Err(ClusterError::LinkTimeout {
             from,
             to,
@@ -82,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "\n60% loss, 1 retry: link {from}->{to} gave up at cycle {at} \
              after {attempts} attempts (typed error, no hang)"
         ),
-        Ok(r) => println!(
+        Ok((r, ..)) => println!(
             "\n60% loss, 1 retry: survived anyway (makespan {})",
             r.makespan
         ),

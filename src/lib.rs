@@ -37,13 +37,16 @@
 //! let trace = gen::cholesky(gen::CholeskyConfig::paper(64));
 //!
 //! // Run it through the full Picos platform with 12 workers...
-//! let picos = run_hil(&trace, HilMode::FullSystem, &HilConfig::balanced(12))?;
+//! let batch = SessionConfig::batch();
+//! let picos = PicosBackend::balanced(HilMode::FullSystem, 12).run(&trace, batch)?;
 //! // ... and through the software-only runtime.
-//! let nanos = run_software(&trace, SwRuntimeConfig::with_workers(12))?;
+//! let nanos = SoftwareBackend::with_workers(12).run(&trace, batch)?;
 //!
 //! // The headline result: for fine-grained tasks, hardware dependence
 //! // management keeps scaling where the software runtime collapses.
-//! assert!(picos.speedup() > 1.5 * nanos.speedup());
+//! assert!(picos.report.speedup() > 1.5 * nanos.report.speedup());
+//! // Engines that model Picos also report its hardware counters.
+//! assert!(picos.stats.is_some() && nanos.stats.is_none());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -62,23 +65,22 @@ pub use picos_trace as trace;
 /// Everything a typical experiment needs, importable in one line.
 pub mod prelude {
     pub use picos_backend::{
-        feed_trace, run_paced, run_paced_full, Admission, ArrivalTrace, BackendBuilder,
+        feed_range, feed_trace, run_paced, run_paced_full, Admission, ArrivalTrace, BackendBuilder,
         BackendError, BackendSpec, ClusterBackend, ExecBackend, PaceReport, PacedTask, PacedTrace,
-        SessionConfig, SessionCore, SessionOutput, SimEvent, SimSession, Snapshot, Sweep,
-        SweepResult, SweepRow, Workload,
+        PerfectBackend, PicosBackend, SessionConfig, SessionCore, SessionOutput, SimEvent,
+        SimSession, Snapshot, SoftwareBackend, Sweep, SweepResult, SweepRow, Workload,
     };
     // `SyntheticMetrics` comes in through `picos_hil` below (re-exported
     // from the metrics crate).
     pub use picos_cluster::{
-        home_shard, merged_stats, run_cluster, run_cluster_with_stats, ClusterConfig, ClusterError,
-        FaultCounters, FaultPlan, ShardPause, ShardPolicy, WorkerFault,
+        home_shard, merged_stats, ClusterConfig, ClusterError, ClusterSession, FaultCounters,
+        FaultPlan, ShardPause, ShardPolicy, WorkerFault,
     };
     pub use picos_core::{
         DmDesign, EngineError, FinishedReq, PicosConfig, PicosSystem, Timing, TsPolicy,
     };
     pub use picos_hil::{
-        run_hil, run_hil_with_stats, HilConfig, HilCostModel, HilError, HilMode, Link, LinkModel,
-        SyntheticMetrics, Workers,
+        HilConfig, HilCostModel, HilError, HilMode, Link, LinkModel, SyntheticMetrics, Workers,
     };
     pub use picos_metrics::span;
     pub use picos_metrics::{
@@ -86,8 +88,8 @@ pub mod prelude {
     };
     pub use picos_resources::{full_picos_resources, table3, ResourceEstimate, XC7Z020};
     pub use picos_runtime::{
-        perfect_schedule, replay_journal, replay_journal_tail, run_software, ExecReport,
-        JournaledSession, NanosCostModel, SwRuntimeConfig,
+        replay_journal, replay_journal_tail, ExecReport, JournaledSession, NanosCostModel,
+        SwRuntimeConfig,
     };
     pub use picos_serve::{
         ServeConfig, ServeError, ServeHandle, Service, SubmitOutcome, TenantSpec, TenantStats,

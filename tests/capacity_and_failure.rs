@@ -2,9 +2,20 @@
 //! gracefully (and recover) at every hardware limit, and must report —
 //! never mask — runs that cannot complete.
 
-use picos_core::{EngineError, PicosConfig, PicosSystem};
+use picos_core::{EngineError, PicosConfig, PicosSystem, Stats};
 use picos_repro::prelude::*;
 use picos_repro::trace::KernelClass;
+
+/// Batch-runs a trace through a cluster session, keeping each shard's
+/// hardware counters.
+fn cluster_run(
+    trace: &Trace,
+    cfg: &ClusterConfig,
+) -> Result<(ExecReport, Vec<Stats>), ClusterError> {
+    let mut s = ClusterSession::new(cfg.clone(), SessionConfig::batch())?;
+    feed_trace(&mut s, trace).unwrap();
+    s.into_output().map(|(r, per_shard, ..)| (r, per_shard))
+}
 
 /// TM exhaustion: more submitted tasks than slots; the GW backpressures and
 /// the run completes once finishes drain slots.
@@ -14,7 +25,10 @@ fn tm_exhaustion_recovers() {
     for _ in 0..1000 {
         trace.push(KernelClass::GENERIC, [], 50_000);
     }
-    let (r, stats) = run_hil_with_stats(&trace, HilMode::HwOnly, &HilConfig::balanced(4)).unwrap();
+    let out = PicosBackend::balanced(HilMode::HwOnly, 4)
+        .run(&trace, SessionConfig::batch())
+        .unwrap();
+    let (r, stats) = (out.report, out.stats.unwrap());
     assert_eq!(r.order.len(), 1000);
     assert!(stats.tm_stalls > 0, "must have hit the TM limit");
     assert!(stats.peak_in_flight <= 256);
@@ -36,11 +50,15 @@ fn vm_exhaustion_recovers() {
             5_000,
         );
     }
-    let hil = HilConfig {
-        picos: cfg,
-        ..HilConfig::balanced(4)
+    let hil = PicosBackend {
+        mode: HilMode::HwOnly,
+        cfg: HilConfig {
+            picos: cfg,
+            ..HilConfig::balanced(4)
+        },
     };
-    let (r, stats) = run_hil_with_stats(&trace, HilMode::HwOnly, &hil).unwrap();
+    let out = hil.run(&trace, SessionConfig::batch()).unwrap();
+    let (r, stats) = (out.report, out.stats.unwrap());
     assert_eq!(r.order.len(), 200);
     assert!(stats.vm_stalls > 0, "must have hit the VM limit");
     assert!(stats.peak_vm_live <= 8);
@@ -65,11 +83,15 @@ fn dm_exhaustion_recovers() {
             5_000,
         );
     }
-    let hil = HilConfig {
-        picos: cfg,
-        ..HilConfig::balanced(6)
+    let hil = PicosBackend {
+        mode: HilMode::HwOnly,
+        cfg: HilConfig {
+            picos: cfg,
+            ..HilConfig::balanced(6)
+        },
     };
-    let (r, stats) = run_hil_with_stats(&trace, HilMode::HwOnly, &hil).unwrap();
+    let out = hil.run(&trace, SessionConfig::batch()).unwrap();
+    let (r, stats) = (out.report, out.stats.unwrap());
     assert_eq!(r.order.len(), 300);
     assert!(stats.dm_conflicts > 0);
     r.validate(&trace).unwrap();
@@ -115,7 +137,7 @@ fn cluster_tm_exhaustion_stalls_and_recovers() {
         trace.push(KernelClass::GENERIC, [], 50_000);
     }
     let cfg = ClusterConfig::balanced(4, 8);
-    let (r, per_shard) = run_cluster_with_stats(&trace, &cfg).unwrap();
+    let (r, per_shard) = cluster_run(&trace, &cfg).unwrap();
     assert_eq!(r.order.len(), 1200);
     let merged = merged_stats(&per_shard);
     assert!(merged.tm_stalls > 0, "must have hit a shard's TM limit");
@@ -144,7 +166,7 @@ fn cluster_vm_exhaustion_stalls_and_recovers() {
         picos,
         ..ClusterConfig::balanced(4, 8)
     };
-    let (r, per_shard) = run_cluster_with_stats(&trace, &cfg).unwrap();
+    let (r, per_shard) = cluster_run(&trace, &cfg).unwrap();
     assert_eq!(r.order.len(), 240);
     let merged = merged_stats(&per_shard);
     assert!(merged.vm_stalls > 0, "must have hit a shard's VM limit");
@@ -184,8 +206,8 @@ fn random_fault_plans_always_terminate() {
             plan = plan.with_worker_fault(rng.range_u64(0, 3) as u16, rng.range_u64(0, 60_000));
         }
         let cfg = ClusterConfig::balanced(shards, 8).with_faults(plan.clone());
-        match run_cluster(&tr, &cfg) {
-            Ok(r) => {
+        match cluster_run(&tr, &cfg) {
+            Ok((r, _)) => {
                 assert_eq!(r.order.len(), tr.len(), "seed {seed}: tasks missing");
                 r.validate(&tr)
                     .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -203,7 +225,10 @@ fn random_fault_plans_always_terminate() {
 #[test]
 fn oversubscribed_workers() {
     let trace = gen::synthetic(gen::Case::Case4); // serial chain
-    let r = run_hil(&trace, HilMode::FullSystem, &HilConfig::balanced(64)).unwrap();
+    let r = PicosBackend::balanced(HilMode::FullSystem, 64)
+        .run(&trace, SessionConfig::batch())
+        .unwrap()
+        .report;
     assert_eq!(r.order.len(), trace.len());
     assert!(
         r.speedup() <= 1.01,
@@ -216,8 +241,10 @@ fn oversubscribed_workers() {
 #[test]
 fn stats_consistency() {
     let trace = gen::cholesky(gen::CholeskyConfig::paper(64));
-    let (r, stats) =
-        run_hil_with_stats(&trace, HilMode::FullSystem, &HilConfig::balanced(12)).unwrap();
+    let out = PicosBackend::balanced(HilMode::FullSystem, 12)
+        .run(&trace, SessionConfig::batch())
+        .unwrap();
+    let (r, stats) = (out.report, out.stats.unwrap());
     assert_eq!(stats.tasks_submitted, trace.len() as u64);
     assert_eq!(stats.tasks_completed, trace.len() as u64);
     let total_deps: u64 = trace.iter().map(|t| t.num_deps() as u64).sum();
@@ -232,14 +259,14 @@ fn stats_consistency() {
 fn empty_trace_everywhere() {
     let trace = Trace::new("empty");
     for mode in HilMode::ALL {
-        let r = run_hil(&trace, mode, &HilConfig::balanced(4)).unwrap();
-        assert_eq!(r.makespan, 0);
+        let r = PicosBackend::balanced(mode, 4)
+            .run(&trace, SessionConfig::batch())
+            .unwrap();
+        assert_eq!(r.report.makespan, 0);
     }
-    assert_eq!(perfect_schedule(&trace, 4).makespan, 0);
-    assert_eq!(
-        run_software(&trace, SwRuntimeConfig::with_workers(4))
-            .unwrap()
-            .makespan,
-        0
-    );
+    let batch = SessionConfig::batch();
+    let perfect = PerfectBackend { workers: 4 }.run(&trace, batch).unwrap();
+    assert_eq!(perfect.report.makespan, 0);
+    let nanos = SoftwareBackend::with_workers(4).run(&trace, batch).unwrap();
+    assert_eq!(nanos.report.makespan, 0);
 }

@@ -10,13 +10,25 @@
 //! pinned on the invariants that must hold for *any* shard count:
 //! TaskGraph-order legality, completeness, and determinism.
 
-use picos_backend::{BackendSpec, SessionConfig};
-use picos_cluster::{run_cluster_with_stats, ClusterConfig, ShardPolicy};
-use picos_core::{DmDesign, PicosConfig};
-use picos_hil::{run_hil_with_stats, HilConfig, HilMode};
+use picos_backend::{feed_trace, BackendSpec, ExecBackend, PicosBackend, SessionConfig};
+use picos_cluster::{ClusterConfig, ClusterError, ClusterSession, ShardPolicy};
+use picos_core::{DmDesign, PicosConfig, Stats};
+use picos_hil::{HilConfig, HilMode};
+use picos_runtime::ExecReport;
 use picos_trace::{gen, Trace};
 
 const WORKERS: usize = 12;
+
+/// Batch-runs a trace through a cluster session, keeping each shard's
+/// hardware counters.
+fn cluster_run(
+    trace: &Trace,
+    cfg: &ClusterConfig,
+) -> Result<(ExecReport, Vec<Stats>), ClusterError> {
+    let mut s = ClusterSession::new(cfg.clone(), SessionConfig::batch())?;
+    feed_trace(&mut s, trace).unwrap();
+    s.into_output().map(|(r, per_shard, ..)| (r, per_shard))
+}
 
 /// Every workload the golden-timing suite pins, plus the stream generator.
 fn golden_workloads() -> Vec<(String, Trace)> {
@@ -40,18 +52,22 @@ fn golden_workloads() -> Vec<(String, Trace)> {
 fn one_shard_cluster_is_cycle_identical_to_hw_only() {
     for (label, trace) in golden_workloads() {
         for dm in DmDesign::ALL {
-            let hil_cfg = HilConfig {
-                picos: PicosConfig::baseline(dm),
-                ..HilConfig::balanced(WORKERS)
+            let hil = PicosBackend {
+                mode: HilMode::HwOnly,
+                cfg: HilConfig {
+                    picos: PicosConfig::baseline(dm),
+                    ..HilConfig::balanced(WORKERS)
+                },
             };
-            let (hw, hw_stats) =
-                run_hil_with_stats(&trace, HilMode::HwOnly, &hil_cfg).expect("HW-only completes");
+            let out = hil
+                .run(&trace, SessionConfig::batch())
+                .expect("HW-only completes");
+            let (hw, hw_stats) = (out.report, out.stats.expect("HW-only reports counters"));
             let cluster_cfg = ClusterConfig {
                 picos: PicosConfig::baseline(dm),
                 ..ClusterConfig::balanced(1, WORKERS)
             };
-            let (cl, cl_stats) =
-                run_cluster_with_stats(&trace, &cluster_cfg).expect("cluster completes");
+            let (cl, cl_stats) = cluster_run(&trace, &cluster_cfg).expect("cluster completes");
             assert_eq!(cl_stats.len(), 1);
             assert_eq!(
                 cl.makespan, hw.makespan,
@@ -99,8 +115,8 @@ fn every_shard_count_preserves_task_graph_order() {
         let graph = picos_trace::TaskGraph::build(&trace);
         for shards in [2usize, 4] {
             let cfg = ClusterConfig::balanced(shards, WORKERS.max(shards));
-            let (r, stats) = run_cluster_with_stats(&trace, &cfg)
-                .unwrap_or_else(|e| panic!("{label} x{shards}: {e}"));
+            let (r, stats) =
+                cluster_run(&trace, &cfg).unwrap_or_else(|e| panic!("{label} x{shards}: {e}"));
             assert_eq!(r.order.len(), trace.len(), "{label} x{shards}: incomplete");
             assert!(
                 graph.is_topological(&r.order),
@@ -123,8 +139,7 @@ fn placement_policies_agree_on_legality() {
             policy,
             ..ClusterConfig::balanced(4, 16)
         };
-        let (r, _) =
-            run_cluster_with_stats(&trace, &cfg).unwrap_or_else(|e| panic!("{policy}: {e}"));
+        let (r, _) = cluster_run(&trace, &cfg).unwrap_or_else(|e| panic!("{policy}: {e}"));
         assert!(graph.is_topological(&r.order), "{policy}: illegal order");
     }
 }
@@ -168,10 +183,10 @@ fn parallel_engine_is_bit_identical_on_every_golden_workload() {
                 ..ClusterConfig::balanced(8, WORKERS)
             };
             let (serial, serial_stats) =
-                run_cluster_with_stats(&trace, &cfg).expect("serial reference completes");
+                cluster_run(&trace, &cfg).expect("serial reference completes");
             for threads in test_thread_counts() {
                 let cfg_t = cfg.clone().with_threads(threads);
-                let (par, par_stats) = run_cluster_with_stats(&trace, &cfg_t)
+                let (par, par_stats) = cluster_run(&trace, &cfg_t)
                     .unwrap_or_else(|e| panic!("{label} {dm} t{threads}: {e}"));
                 assert_eq!(
                     par.makespan, serial.makespan,
@@ -242,10 +257,10 @@ fn sharded_dm_beats_one_big_dm_under_sustained_load() {
         mean_duration: 200,
         ..gen::StreamConfig::heavy(1_500)
     });
-    let one = run_cluster_with_stats(&trace, &ClusterConfig::balanced(1, 16))
+    let one = cluster_run(&trace, &ClusterConfig::balanced(1, 16))
         .unwrap()
         .0;
-    let four = run_cluster_with_stats(&trace, &ClusterConfig::balanced(4, 16))
+    let four = cluster_run(&trace, &ClusterConfig::balanced(4, 16))
         .unwrap()
         .0;
     assert!(

@@ -48,7 +48,11 @@ fn perfect_dominates_and_bounds_hold() {
         let cp = graph.critical_path();
         let work = trace.sequential_time();
         for w in [2usize, 8, 16] {
-            let roofline = perfect_schedule(&trace, w).speedup();
+            let roofline = PerfectBackend { workers: w }
+                .run(&trace, SessionConfig::batch())
+                .unwrap()
+                .report
+                .speedup();
             for backend in all_backends(w) {
                 let r = backend.run(&trace, SessionConfig::batch()).unwrap().report;
                 assert!(
@@ -126,7 +130,14 @@ fn determinism_across_engines() {
 fn single_worker_serializes() {
     let trace = gen::heat(gen::HeatConfig::paper(256));
     let seq = trace.sequential_time();
-    assert_eq!(perfect_schedule(&trace, 1).makespan, seq);
+    assert_eq!(
+        PerfectBackend { workers: 1 }
+            .run(&trace, SessionConfig::batch())
+            .unwrap()
+            .report
+            .makespan,
+        seq
+    );
     for backend in all_backends(1) {
         let r = backend.run(&trace, SessionConfig::batch()).unwrap().report;
         assert!(

@@ -17,13 +17,24 @@
 //! the same trace twice gives identical schedules, counters and errors.
 
 use picos_backend::{feed_trace, Admission, BackendSpec, SessionConfig, SessionCore};
-use picos_cluster::{run_cluster_with_stats, ClusterConfig, ClusterSession, FaultPlan};
-use picos_core::{DmDesign, PicosConfig};
-use picos_runtime::{replay_journal, JournaledSession};
+use picos_cluster::{ClusterConfig, ClusterError, ClusterSession, FaultPlan};
+use picos_core::{DmDesign, PicosConfig, Stats};
+use picos_runtime::{replay_journal, ExecReport, JournaledSession};
 use picos_trace::rng::SplitMix64;
 use picos_trace::{gen, SessionJournal, Trace};
 
 const WORKERS: usize = 12;
+
+/// Batch-runs a trace through a cluster session, keeping each shard's
+/// hardware counters.
+fn cluster_run(
+    trace: &Trace,
+    cfg: &ClusterConfig,
+) -> Result<(ExecReport, Vec<Stats>), ClusterError> {
+    let mut s = ClusterSession::new(cfg.clone(), SessionConfig::batch())?;
+    feed_trace(&mut s, trace).unwrap();
+    s.into_output().map(|(r, per_shard, ..)| (r, per_shard))
+}
 
 /// Every workload the golden-timing suite pins, plus the stream generator
 /// (same set as `tests/cluster_conformance.rs`).
@@ -69,14 +80,13 @@ fn zero_fault_plan_is_bit_identical_to_no_plan() {
                 picos: PicosConfig::baseline(dm),
                 ..ClusterConfig::balanced(8, WORKERS)
             };
-            let (base, base_stats) =
-                run_cluster_with_stats(&trace, &cfg).expect("plain run completes");
+            let (base, base_stats) = cluster_run(&trace, &cfg).expect("plain run completes");
             for threads in test_thread_counts() {
                 let faulted_cfg = cfg
                     .clone()
                     .with_threads(threads)
                     .with_faults(FaultPlan::new(0xD15EA5E));
-                let (r, stats) = run_cluster_with_stats(&trace, &faulted_cfg)
+                let (r, stats) = cluster_run(&trace, &faulted_cfg)
                     .unwrap_or_else(|e| panic!("{label} {dm} t{threads}: {e}"));
                 assert_eq!(
                     r.makespan, base.makespan,

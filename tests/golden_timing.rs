@@ -15,8 +15,9 @@
 //!
 //! and paste the printed rows over the `GOLDEN` table below.
 
+use picos_backend::{ExecBackend, PicosBackend, SessionConfig};
 use picos_core::{DmDesign, FinishedReq, PicosConfig, PicosSystem, Stats};
-use picos_hil::{run_hil_with_stats, HilConfig, HilMode};
+use picos_hil::{HilConfig, HilMode};
 use picos_trace::{gen, TaskGraph, Trace};
 
 /// One pinned cell: workload label, DM design, makespan, counters.
@@ -159,12 +160,17 @@ fn current_rows() -> Vec<Golden> {
     ];
     for (label, trace) in &apps {
         for dm in DmDesign::ALL {
-            let cfg = HilConfig {
-                picos: PicosConfig::baseline(dm),
-                ..HilConfig::balanced(12)
+            let hil = PicosBackend {
+                mode: HilMode::HwOnly,
+                cfg: HilConfig {
+                    picos: PicosConfig::baseline(dm),
+                    ..HilConfig::balanced(12)
+                },
             };
-            let (report, stats) =
-                run_hil_with_stats(trace, HilMode::HwOnly, &cfg).expect("HIL run completes");
+            let out = hil
+                .run(trace, SessionConfig::batch())
+                .expect("HIL run completes");
+            let (report, stats) = (out.report, out.stats.expect("HIL reports counters"));
             report.validate(trace).expect("order must be legal");
             rows.push(Golden::capture(label, dm, report.makespan, &stats));
         }

@@ -10,12 +10,14 @@ use picos_repro::prelude::*;
 #[test]
 fn fig1_software_rises_then_collapses() {
     let s = |bs| {
-        run_software(
-            &gen::cholesky(gen::CholeskyConfig::paper(bs)),
-            SwRuntimeConfig::with_workers(12),
-        )
-        .unwrap()
-        .speedup()
+        SoftwareBackend::with_workers(12)
+            .run(
+                &gen::cholesky(gen::CholeskyConfig::paper(bs)),
+                SessionConfig::batch(),
+            )
+            .unwrap()
+            .report
+            .speedup()
     };
     let (s256, s128, s32) = (s(256), s(128), s(32));
     assert!(s128 > s256, "rise: {s128} vs {s256}");
@@ -32,11 +34,15 @@ fn fig11_picos_beats_nanos_on_fine_grain() {
         (gen::App::Heat, 32),
     ] {
         let trace = app.generate(bs);
-        let picos = run_hil(&trace, HilMode::FullSystem, &HilConfig::balanced(12))
+        let picos = PicosBackend::balanced(HilMode::FullSystem, 12)
+            .run(&trace, SessionConfig::batch())
             .unwrap()
+            .report
             .speedup();
-        let nanos = run_software(&trace, SwRuntimeConfig::with_workers(12))
+        let nanos = SoftwareBackend::with_workers(12)
+            .run(&trace, SessionConfig::batch())
             .unwrap()
+            .report
             .speedup();
         assert!(
             picos > 2.0 * nanos,
@@ -50,21 +56,29 @@ fn fig11_picos_beats_nanos_on_fine_grain() {
 #[test]
 fn fig11_nanos_degrades_after_8_workers() {
     let trace = gen::sparselu(gen::SparseLuConfig::paper(32));
-    let nanos8 = run_software(&trace, SwRuntimeConfig::with_workers(8))
+    let nanos8 = SoftwareBackend::with_workers(8)
+        .run(&trace, SessionConfig::batch())
         .unwrap()
+        .report
         .speedup();
-    let nanos24 = run_software(&trace, SwRuntimeConfig::with_workers(24))
+    let nanos24 = SoftwareBackend::with_workers(24)
+        .run(&trace, SessionConfig::batch())
         .unwrap()
+        .report
         .speedup();
     assert!(
         nanos24 < nanos8,
         "nanos must degrade beyond 8 workers: {nanos8} -> {nanos24}"
     );
-    let picos8 = run_hil(&trace, HilMode::FullSystem, &HilConfig::balanced(8))
+    let picos8 = PicosBackend::balanced(HilMode::FullSystem, 8)
+        .run(&trace, SessionConfig::batch())
         .unwrap()
+        .report
         .speedup();
-    let picos16 = run_hil(&trace, HilMode::FullSystem, &HilConfig::balanced(16))
+    let picos16 = PicosBackend::balanced(HilMode::FullSystem, 16)
+        .run(&trace, SessionConfig::batch())
         .unwrap()
+        .report
         .speedup();
     assert!(
         picos16 > picos8,
@@ -78,11 +92,14 @@ fn fig11_nanos_degrades_after_8_workers() {
 fn fig8_direct_hash_flat_on_heat() {
     let trace = gen::heat(gen::HeatConfig::paper(64));
     let speed = |dm, w| {
-        let cfg = HilConfig {
-            picos: PicosConfig::baseline(dm),
-            ..HilConfig::balanced(w)
-        };
-        run_hil(&trace, HilMode::HwOnly, &cfg).unwrap().speedup()
+        BackendSpec::Picos(HilMode::HwOnly)
+            .builder(w)
+            .picos(&PicosConfig::baseline(dm))
+            .build()
+            .run(&trace, SessionConfig::batch())
+            .unwrap()
+            .report
+            .speedup()
     };
     let d2 = speed(DmDesign::EightWay, 2);
     let d12 = speed(DmDesign::EightWay, 12);
@@ -98,13 +115,14 @@ fn fig8_direct_hash_flat_on_heat() {
 fn table2_conflict_ordering() {
     let trace = gen::heat(gen::HeatConfig::paper(128));
     let conflicts = |dm| {
-        let cfg = HilConfig {
-            picos: PicosConfig::baseline(dm),
-            ..HilConfig::balanced(12)
-        };
-        run_hil_with_stats(&trace, HilMode::HwOnly, &cfg)
+        BackendSpec::Picos(HilMode::HwOnly)
+            .builder(12)
+            .picos(&PicosConfig::baseline(dm))
+            .build()
+            .run(&trace, SessionConfig::batch())
             .unwrap()
-            .1
+            .stats
+            .unwrap()
             .dm_conflicts
     };
     let c8 = conflicts(DmDesign::EightWay);
@@ -122,11 +140,14 @@ fn fig9_lu_corner_case_and_fixes() {
     let lu = gen::lu(gen::LuConfig::paper(32));
     let mlu = gen::lu(gen::LuConfig::paper_modified(32));
     let speed = |trace: &Trace, dm, policy| {
-        let cfg = HilConfig {
-            picos: PicosConfig::baseline(dm).with_ts_policy(policy),
-            ..HilConfig::balanced(12)
-        };
-        run_hil(trace, HilMode::HwOnly, &cfg).unwrap().speedup()
+        BackendSpec::Picos(HilMode::HwOnly)
+            .builder(12)
+            .picos(&PicosConfig::baseline(dm).with_ts_policy(policy))
+            .build()
+            .run(trace, SessionConfig::batch())
+            .unwrap()
+            .report
+            .speedup()
     };
     // The corner case: 16way > P+8way on plain Lu with FIFO.
     let lu_16 = speed(&lu, DmDesign::SixteenWay, TsPolicy::Fifo);
@@ -152,10 +173,15 @@ fn fig9_lu_corner_case_and_fixes() {
 #[test]
 fn table4_mode_ordering_and_amortization() {
     let case3 = gen::synthetic(gen::Case::Case3);
-    let cfg = HilConfig::balanced(12);
-    let hw = run_hil(&case3, HilMode::HwOnly, &cfg).unwrap();
-    let comm = run_hil(&case3, HilMode::HwComm, &cfg).unwrap();
-    let full = run_hil(&case3, HilMode::FullSystem, &cfg).unwrap();
+    let run = |mode| {
+        PicosBackend::balanced(mode, 12)
+            .run(&case3, SessionConfig::batch())
+            .unwrap()
+            .report
+    };
+    let hw = run(HilMode::HwOnly);
+    let comm = run(HilMode::HwComm);
+    let full = run(HilMode::FullSystem);
     let avg = case3.stats().avg_deps();
     let m_hw = hw.synthetic_metrics(avg);
     let m_comm = comm.synthetic_metrics(avg);
@@ -190,9 +216,14 @@ fn table3_resource_story() {
 #[test]
 fn lessons_transfer_overhead_dominates() {
     let case2 = gen::synthetic(gen::Case::Case2);
-    let cfg = HilConfig::balanced(12);
     let avg = case2.stats().avg_deps();
-    let metrics = |mode| run_hil(&case2, mode, &cfg).unwrap().synthetic_metrics(avg);
+    let metrics = |mode| {
+        PicosBackend::balanced(mode, 12)
+            .run(&case2, SessionConfig::batch())
+            .unwrap()
+            .report
+            .synthetic_metrics(avg)
+    };
     let m_hw = metrics(HilMode::HwOnly);
     let m_comm = metrics(HilMode::HwComm);
     let m_full = metrics(HilMode::FullSystem);
@@ -226,6 +257,9 @@ fn headline_capacities() {
             .collect();
         trace.push(k, deps, 10);
     }
-    let r = run_hil(&trace, HilMode::HwOnly, &HilConfig::balanced(12)).unwrap();
+    let r = PicosBackend::balanced(HilMode::HwOnly, 12)
+        .run(&trace, SessionConfig::batch())
+        .unwrap()
+        .report;
     assert_eq!(r.order.len(), 300);
 }

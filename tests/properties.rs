@@ -42,8 +42,10 @@ fn picos_never_deadlocks() {
         let mut wrng = SplitMix64::new(seed);
         let workers = wrng.range_usize(1, 15);
         for mode in HilMode::ALL {
-            let r = run_hil(&trace, mode, &HilConfig::balanced(workers))
-                .unwrap_or_else(|e| panic!("seed {seed} {mode}: {e}"));
+            let r = PicosBackend::balanced(mode, workers)
+                .run(&trace, SessionConfig::batch())
+                .unwrap_or_else(|e| panic!("seed {seed} {mode}: {e}"))
+                .report;
             assert_eq!(r.order.len(), trace.len(), "seed {seed} {mode}");
             r.validate(&trace)
                 .unwrap_or_else(|e| panic!("seed {seed}: illegal schedule in {mode}: {e}"));
@@ -58,8 +60,10 @@ fn software_runtime_never_sticks() {
         let trace = gen::random_trace(cfg, seed);
         let mut wrng = SplitMix64::new(seed);
         let workers = wrng.range_usize(1, 23);
-        let r = run_software(&trace, SwRuntimeConfig::with_workers(workers))
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let r = SoftwareBackend::with_workers(workers)
+            .run(&trace, SessionConfig::batch())
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+            .report;
         r.validate(&trace)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     });
@@ -78,7 +82,10 @@ fn perfect_bounds() {
         let mut wrng = SplitMix64::new(seed);
         let workers = wrng.range_usize(1, 31);
         let graph = TaskGraph::build(&trace);
-        let r = perfect_schedule(&trace, workers);
+        let r = PerfectBackend { workers }
+            .run(&trace, SessionConfig::batch())
+            .unwrap()
+            .report;
         assert!(r.makespan >= graph.critical_path(), "seed {seed}");
         assert!(
             r.makespan >= trace.sequential_time().div_ceil(workers as u64),
@@ -99,8 +106,16 @@ fn perfect_anomaly_bounded() {
         if trace.is_empty() {
             return;
         }
-        let m4 = perfect_schedule(&trace, 4).makespan;
-        let m8 = perfect_schedule(&trace, 8).makespan;
+        let m4 = PerfectBackend { workers: 4 }
+            .run(&trace, SessionConfig::batch())
+            .unwrap()
+            .report
+            .makespan;
+        let m8 = PerfectBackend { workers: 8 }
+            .run(&trace, SessionConfig::batch())
+            .unwrap()
+            .report
+            .makespan;
         assert!(
             m8 <= 2 * m4,
             "seed {seed}: anomaly beyond Graham bound: {m8} vs {m4}"
@@ -118,12 +133,13 @@ fn dm_designs_complete_identically() {
             return;
         }
         for dm in DmDesign::ALL {
-            let hil = HilConfig {
-                picos: PicosConfig::baseline(dm),
-                ..HilConfig::balanced(8)
-            };
-            let r = run_hil(&trace, HilMode::HwOnly, &hil)
-                .unwrap_or_else(|e| panic!("seed {seed} {dm}: {e}"));
+            let r = BackendSpec::Picos(HilMode::HwOnly)
+                .builder(8)
+                .picos(&PicosConfig::baseline(dm))
+                .build()
+                .run(&trace, SessionConfig::batch())
+                .unwrap_or_else(|e| panic!("seed {seed} {dm}: {e}"))
+                .report;
             assert_eq!(r.order.len(), trace.len(), "seed {seed} {dm}");
         }
     });
@@ -138,12 +154,13 @@ fn ts_policies_legal() {
             return;
         }
         for policy in [TsPolicy::Fifo, TsPolicy::Lifo] {
-            let hil = HilConfig {
-                picos: PicosConfig::balanced().with_ts_policy(policy),
-                ..HilConfig::balanced(6)
-            };
-            let r = run_hil(&trace, HilMode::HwOnly, &hil)
-                .unwrap_or_else(|e| panic!("seed {seed} {policy:?}: {e}"));
+            let r = BackendSpec::Picos(HilMode::HwOnly)
+                .builder(6)
+                .picos(&PicosConfig::balanced().with_ts_policy(policy))
+                .build()
+                .run(&trace, SessionConfig::batch())
+                .unwrap_or_else(|e| panic!("seed {seed} {policy:?}: {e}"))
+                .report;
             r.validate(&trace)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
@@ -162,12 +179,13 @@ fn multi_instance_legal() {
         }
         let mut wrng = SplitMix64::new(seed);
         let n = wrng.range_usize(1, 4);
-        let hil = HilConfig {
-            picos: PicosConfig::future(n, DmDesign::PearsonEightWay),
-            ..HilConfig::balanced(8)
-        };
-        let r = run_hil(&trace, HilMode::HwOnly, &hil)
-            .unwrap_or_else(|e| panic!("seed {seed} {n} instances: {e}"));
+        let r = BackendSpec::Picos(HilMode::HwOnly)
+            .builder(8)
+            .picos(&PicosConfig::future(n, DmDesign::PearsonEightWay))
+            .build()
+            .run(&trace, SessionConfig::batch())
+            .unwrap_or_else(|e| panic!("seed {seed} {n} instances: {e}"))
+            .report;
         r.validate(&trace)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     });

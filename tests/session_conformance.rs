@@ -37,7 +37,7 @@ fn drive_one_at_a_time(
     backend: &dyn ExecBackend,
     trace: &Trace,
 ) -> (ExecReport, Option<picos_repro::core::Stats>) {
-    let mut s = backend.open().unwrap();
+    let mut s = backend.open_with(SessionConfig::batch()).unwrap();
     let mut barriers = trace.barriers().iter().peekable();
     for (i, task) in trace.iter().enumerate() {
         while barriers.peek() == Some(&&(i as u32)) {
@@ -174,7 +174,7 @@ fn batch_default_methods_agree_with_each_other() {
         let backend = spec.builder(6).build();
         let plain = run_batch(&*backend, &trace);
         for cfg in [
-            SessionConfig::timed(500),
+            SessionConfig::batch().with_timeline(500),
             SessionConfig::batch().with_spans(),
         ] {
             let observed = backend.run(&trace, cfg).unwrap();
@@ -190,7 +190,7 @@ fn open_sessions_hold_time_while_unblocked() {
     let trace = gen::synthetic(gen::Case::Case1);
     for spec in BackendSpec::ALL {
         let backend = spec.builder(4).build();
-        let mut s = backend.open().unwrap();
+        let mut s = backend.open_with(SessionConfig::batch()).unwrap();
         for task in trace.iter().take(10) {
             assert_eq!(s.submit(task), Admission::Accepted, "{spec}");
             assert!(!s.step(), "{spec}: open unblocked session must hold");

@@ -60,9 +60,14 @@ fn spans_are_observation_only_everywhere() {
     let trace = gen::cholesky(gen::CholeskyConfig::paper(128));
     for spec in families() {
         let backend = spec.builder(8).build();
-        let plain = backend.run(&trace, SessionConfig::timed(500)).unwrap();
+        let plain = backend
+            .run(&trace, SessionConfig::batch().with_timeline(500))
+            .unwrap();
         let spanned = backend
-            .run(&trace, SessionConfig::timed(500).with_spans())
+            .run(
+                &trace,
+                SessionConfig::batch().with_timeline(500).with_spans(),
+            )
             .unwrap();
         assert_eq!(
             spanned.report, plain.report,
@@ -87,7 +92,10 @@ fn spans_are_observation_only_everywhere() {
         assert!(!log.is_empty(), "{spec}: a run records events");
         // Determinism: the same traced run records the same log.
         let again = backend
-            .run(&trace, SessionConfig::timed(500).with_spans())
+            .run(
+                &trace,
+                SessionConfig::batch().with_timeline(500).with_spans(),
+            )
             .unwrap();
         assert_eq!(again.spans.unwrap(), log, "{spec}: log not deterministic");
     }

@@ -23,12 +23,21 @@ fn barrier_trace(per_side: usize) -> Trace {
 #[test]
 fn all_engines_respect_taskwait() {
     let tr = barrier_trace(20);
-    let perfect = perfect_schedule(&tr, 8);
+    let perfect = PerfectBackend { workers: 8 }
+        .run(&tr, SessionConfig::batch())
+        .unwrap()
+        .report;
     perfect.validate(&tr).unwrap();
-    let nanos = run_software(&tr, SwRuntimeConfig::with_workers(8)).unwrap();
+    let nanos = SoftwareBackend::with_workers(8)
+        .run(&tr, SessionConfig::batch())
+        .unwrap()
+        .report;
     nanos.validate(&tr).unwrap();
     for mode in HilMode::ALL {
-        let picos = run_hil(&tr, mode, &HilConfig::balanced(8)).unwrap();
+        let picos = PicosBackend::balanced(mode, 8)
+            .run(&tr, SessionConfig::batch())
+            .unwrap()
+            .report;
         picos
             .validate(&tr)
             .unwrap_or_else(|e| panic!("{mode}: {e}"));
@@ -40,7 +49,10 @@ fn taskwait_halves_parallel_throughput() {
     // Two batches of independent equal tasks: with the barrier the perfect
     // makespan is exactly two batch-rounds.
     let tr = barrier_trace(16);
-    let r = perfect_schedule(&tr, 16);
+    let r = PerfectBackend { workers: 16 }
+        .run(&tr, SessionConfig::batch())
+        .unwrap()
+        .report;
     assert_eq!(r.makespan, 2 * 500);
     // Without a barrier the same tasks finish in one round.
     let mut free = Trace::new("free");
@@ -48,7 +60,14 @@ fn taskwait_halves_parallel_throughput() {
     for i in 0..32u64 {
         free.push(k, [Dependence::output(0x1000 + i * 8)], 500);
     }
-    assert_eq!(perfect_schedule(&free, 32).makespan, 500);
+    assert_eq!(
+        PerfectBackend { workers: 32 }
+            .run(&free, SessionConfig::batch())
+            .unwrap()
+            .report
+            .makespan,
+        500
+    );
 }
 
 #[test]
@@ -74,11 +93,20 @@ fn heat_sweeps_with_taskwait_run_everywhere() {
         ..gen::HeatConfig::paper(256)
     });
     assert_eq!(tr.barriers().len(), 2);
-    let picos = run_hil(&tr, HilMode::FullSystem, &HilConfig::balanced(8)).unwrap();
+    let picos = PicosBackend::balanced(HilMode::FullSystem, 8)
+        .run(&tr, SessionConfig::batch())
+        .unwrap()
+        .report;
     picos.validate(&tr).unwrap();
-    let nanos = run_software(&tr, SwRuntimeConfig::with_workers(8)).unwrap();
+    let nanos = SoftwareBackend::with_workers(8)
+        .run(&tr, SessionConfig::batch())
+        .unwrap()
+        .report;
     nanos.validate(&tr).unwrap();
-    let perfect = perfect_schedule(&tr, 8);
+    let perfect = PerfectBackend { workers: 8 }
+        .run(&tr, SessionConfig::batch())
+        .unwrap()
+        .report;
     perfect.validate(&tr).unwrap();
     assert!(perfect.speedup() + 1e-9 >= picos.speedup());
 }
@@ -90,7 +118,10 @@ fn software_master_blocks_at_taskwait() {
     // must exceed the duration sum of the first half plus the creation
     // overhead of the second.
     let tr = barrier_trace(10);
-    let r = run_software(&tr, SwRuntimeConfig::with_workers(2)).unwrap();
+    let r = SoftwareBackend::with_workers(2)
+        .run(&tr, SessionConfig::batch())
+        .unwrap()
+        .report;
     r.validate(&tr).unwrap();
     let first_half_end = (0..10).map(|i| r.end[i]).max().unwrap();
     let second_half_start = (10..20).map(|i| r.start[i]).min().unwrap();

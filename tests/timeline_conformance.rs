@@ -29,7 +29,7 @@ fn families() -> Vec<BackendSpec> {
 fn telemetry(spec: BackendSpec, trace: &Trace) -> SessionOutput {
     let backend = spec.builder(8).build();
     backend
-        .run(trace, SessionConfig::timed(WINDOW))
+        .run(trace, SessionConfig::batch().with_timeline(WINDOW))
         .unwrap_or_else(|e| panic!("{spec}: {e}"))
 }
 
@@ -49,9 +49,13 @@ fn batch_session_and_paced_paths_agree() {
     let trace = gen::sparselu(gen::SparseLuConfig::paper(128));
     for spec in families() {
         let backend = spec.builder(8).build();
-        let batch = backend.run(&trace, SessionConfig::timed(WINDOW)).unwrap();
+        let batch = backend
+            .run(&trace, SessionConfig::batch().with_timeline(WINDOW))
+            .unwrap();
         // Hand-driven streaming session, one task at a time.
-        let mut s = backend.open_with(SessionConfig::timed(WINDOW)).unwrap();
+        let mut s = backend
+            .open_with(SessionConfig::batch().with_timeline(WINDOW))
+            .unwrap();
         feed_trace(&mut *s, &trace).unwrap();
         let streamed = s.finish_full().unwrap();
         assert_eq!(batch, streamed, "{spec}: streamed != batch");
@@ -61,7 +65,7 @@ fn batch_session_and_paced_paths_agree() {
         let paced = run_paced_full(
             &*backend,
             PacedTrace::new(&trace, 0),
-            SessionConfig::timed(WINDOW),
+            SessionConfig::batch().with_timeline(WINDOW),
         )
         .unwrap();
         assert_eq!(paced.report, batch.report, "{spec}: paced-0 != batch");
@@ -85,7 +89,9 @@ fn telemetry_is_observation_only() {
     for spec in families() {
         let backend = spec.builder(8).build();
         let plain = backend.run(&trace, SessionConfig::batch()).unwrap();
-        let timed = backend.run(&trace, SessionConfig::timed(WINDOW)).unwrap();
+        let timed = backend
+            .run(&trace, SessionConfig::batch().with_timeline(WINDOW))
+            .unwrap();
         assert_eq!(timed.report, plain.report, "{spec}: probes changed a cycle");
         assert_eq!(timed.stats, plain.stats, "{spec}: probes changed a counter");
     }
@@ -235,7 +241,10 @@ fn table_iv_extraction_works_on_any_backend() {
     // on non-HIL reports too.
     let trace = gen::synthetic(gen::Case::Case2);
     let avg = trace.stats().avg_deps();
-    let hil = run_hil(&trace, HilMode::HwOnly, &HilConfig::balanced(12)).unwrap();
+    let hil = PicosBackend::balanced(HilMode::HwOnly, 12)
+        .run(&trace, SessionConfig::batch())
+        .unwrap()
+        .report;
     let backend = BackendSpec::Picos(HilMode::HwOnly).builder(12).build();
     let via_backend = backend.run(&trace, SessionConfig::batch()).unwrap();
     assert_eq!(
@@ -256,7 +265,7 @@ fn zero_timeline_window_is_a_config_error_everywhere() {
     let trace = gen::synthetic(gen::Case::Case1);
     for spec in families() {
         let backend = spec.builder(4).build();
-        let r = backend.run(&trace, SessionConfig::timed(0));
+        let r = backend.run(&trace, SessionConfig::batch().with_timeline(0));
         assert!(r.is_err(), "{spec}: zero window must be rejected");
     }
 }
