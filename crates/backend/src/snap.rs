@@ -335,4 +335,66 @@ mod tests {
             );
         }
     }
+
+    /// Paths (child indices) to every leaf of a snapshot tree, grouped by
+    /// shape: an index into a long table (more than 48 items, longer than
+    /// any record) is collapsed, so each field of each record kind is one
+    /// group however many rows hold it.
+    fn leaves(v: &Value, path: &mut Vec<usize>, shape: &mut Vec<usize>, out: &mut Shapes) {
+        match v {
+            Value::Arr(items) if !items.is_empty() => {
+                for (i, item) in items.iter().enumerate() {
+                    path.push(i);
+                    shape.push(if items.len() > 48 { usize::MAX } else { i });
+                    leaves(item, path, shape, out);
+                    path.pop();
+                    shape.pop();
+                }
+            }
+            _ => out.entry(shape.clone()).or_default().push(path.clone()),
+        }
+    }
+
+    type Shapes = std::collections::BTreeMap<Vec<usize>, Vec<Vec<usize>>>;
+
+    fn leaf_mut<'a>(v: &'a mut Value, path: &[usize]) -> &'a mut Value {
+        path.iter().fold(v, |v, &i| match v {
+            Value::Arr(items) => &mut items[i],
+            _ => unreachable!("paths lead through arrays"),
+        })
+    }
+
+    #[test]
+    fn corrupted_snapshots_restore_or_fail_typed() {
+        // One single-leaf corruption of a mid-run snapshot per leaf shape:
+        // restoring into a fresh session must return Ok or a SnapError,
+        // never panic.
+        let tr = gen::sparselu(gen::SparseLuConfig {
+            problem_size: 32,
+            block_size: 8,
+            calibrate: false,
+        });
+        let cfg = SessionConfig::windowed(16).with_timeline(64).with_spans();
+        let mut rng = SplitMix64::new(0xbad_5eed);
+        for spec in families() {
+            let b = build(spec);
+            let mut live = b.open_with(cfg).unwrap();
+            feed_range(&mut *live, &tr, 0..tr.len() / 2).unwrap();
+            let snap = live.save_state();
+            let mut shapes = Shapes::new();
+            leaves(&snap, &mut Vec::new(), &mut Vec::new(), &mut shapes);
+            for paths in shapes.values() {
+                let mut bad = snap.clone();
+                let leaf = leaf_mut(&mut bad, &paths[rng.below(paths.len() as u64) as usize]);
+                let ints = [rng.next_u64(), 0, 1 << 8, 1 << 16, 1 << 32, u64::MAX];
+                *leaf = match (rng.below(7) as usize, &*leaf) {
+                    (k @ 0..=5, _) => Value::Int(ints[k]),
+                    (_, Value::Int(_)) => Value::Str("x".into()),
+                    _ => Value::Int(1),
+                };
+                let mut fresh = b.open_with(cfg).unwrap();
+                let _ = Snapshot::from_value(bad).restore(&mut *fresh);
+            }
+        }
+    }
 }

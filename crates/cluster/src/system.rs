@@ -49,7 +49,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Messages crossing the inter-shard interconnect.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum ClusterMsg {
     /// A remote dependence-registration fragment travelling to the home
     /// shard of its addresses. Sized by its dependence count on the link.
@@ -1292,5 +1292,18 @@ mod tests {
         let mut faulted = ClusterSession::new(faulted_cfg, SessionConfig::batch()).unwrap();
         let err = faulted.load_state(&snap).unwrap_err().to_string();
         assert!(err.contains("cluster config"), "got: {err}");
+    }
+
+    #[test]
+    fn cluster_msg_roundtrip() {
+        use picos_trace::snap::Snap;
+        let deps: Arc<[Dependence]> = Arc::from(vec![Dependence::inout(0x40)]);
+        for m in [
+            ClusterMsg::Register { task: 1, deps },
+            ClusterMsg::Ready { task: 2 },
+            ClusterMsg::Finish { task: 3 },
+        ] {
+            assert_eq!(ClusterMsg::load(&m.save()), Ok(m));
+        }
     }
 }

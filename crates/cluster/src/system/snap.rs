@@ -14,15 +14,8 @@
 
 use super::{ClusterMsg, ClusterSession};
 use crate::config::{ClusterConfig, ShardPolicy};
-use crate::fault::Packet;
-use picos_core::SlotRef;
-use picos_metrics::span::SpanLog;
-use picos_metrics::WindowSampler;
-use picos_runtime::snap::{dir_code, dir_from};
-use picos_trace::snap::{guard, Dec, Enc, SnapError};
-use picos_trace::{Dependence, Value};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use picos_trace::snap::{fingerprint, Dec, Enc, SnapError};
+use picos_trace::Value;
 
 /// Stable wire code of a placement policy.
 fn policy_code(p: ShardPolicy) -> u64 {
@@ -39,10 +32,7 @@ fn policy_code(p: ShardPolicy) -> u64 {
 /// from an equivalent config. Each shard core's own configuration is
 /// guarded separately inside its [`picos_core::PicosSystem`] record.
 fn cluster_fingerprint(cfg: &ClusterConfig) -> u64 {
-    fn mix(h: u64, v: u64) -> u64 {
-        (h ^ v).wrapping_mul(0x100_0000_01b3)
-    }
-    let mut h = [
+    let mut fields = vec![
         cfg.shards as u64,
         policy_code(cfg.policy),
         cfg.workers as u64,
@@ -51,11 +41,9 @@ fn cluster_fingerprint(cfg: &ClusterConfig) -> u64 {
         cfg.link.setup,
         cfg.link.width as u64,
         cfg.dispatch,
-    ]
-    .into_iter()
-    .fold(0xcbf2_9ce4_8422_2325, mix);
+    ];
     if let Some(p) = &cfg.faults {
-        h = [
+        fields.extend([
             1,
             p.seed,
             p.drop_rate.to_bits(),
@@ -66,94 +54,33 @@ fn cluster_fingerprint(cfg: &ClusterConfig) -> u64 {
             p.max_retries as u64,
             p.pauses.len() as u64,
             p.worker_faults.len() as u64,
-        ]
-        .into_iter()
-        .fold(h, mix);
+        ]);
         for w in &p.pauses {
-            h = mix(mix(mix(h, w.shard as u64), w.at), w.until);
+            fields.extend([w.shard as u64, w.at, w.until]);
         }
         for f in &p.worker_faults {
-            h = mix(mix(h, f.shard as u64), f.at);
+            fields.extend([f.shard as u64, f.at]);
         }
     }
-    h
+    fingerprint(fields)
 }
 
-/// Packs a TM slot reference into one integer (`trs << 16 | entry`).
-fn slot_pack(s: SlotRef) -> u64 {
-    (s.trs as u64) << 16 | s.entry as u64
-}
-
-fn slot_unpack(v: u64) -> SlotRef {
-    SlotRef::new((v >> 16) as u8, (v & 0xFFFF) as u16)
-}
-
-fn enc_deps(e: &mut Enc, deps: &Arc<[Dependence]>) {
-    e.seq(deps.iter(), |e, d| {
-        e.u64(d.addr).u64(dir_code(d.dir));
-    });
-}
-
-fn dec_deps(d: &mut Dec) -> Result<Arc<[Dependence]>, SnapError> {
-    let deps: Vec<Dependence> = d.seq(|d| Ok(Dependence::new(d.u64()?, dir_from(d.u64()?)?)))?;
-    Ok(deps.into())
-}
-
-/// Encodes one interconnect message (variant code first).
-fn enc_cluster_msg(e: &mut Enc, m: &ClusterMsg) {
-    match m {
-        ClusterMsg::Register { task, deps } => {
-            e.u64(0).u32(*task);
-            enc_deps(e, deps);
-        }
-        ClusterMsg::Ready { task } => {
-            e.u64(1).u32(*task);
-        }
-        ClusterMsg::Finish { task } => {
-            e.u64(2).u32(*task);
-        }
-    }
-}
-
-/// Decodes one interconnect message written by [`enc_cluster_msg`].
-fn dec_cluster_msg(d: &mut Dec) -> Result<ClusterMsg, SnapError> {
-    match d.u64()? {
-        0 => Ok(ClusterMsg::Register {
-            task: d.u32()?,
-            deps: dec_deps(d)?,
-        }),
-        1 => Ok(ClusterMsg::Ready { task: d.u32()? }),
-        2 => Ok(ClusterMsg::Finish { task: d.u32()? }),
-        other => Err(SnapError::new(format!(
-            "unknown cluster message code {other}"
-        ))),
-    }
-}
-
-/// Encodes one wire packet: the fault envelope plus its message.
-fn enc_packet(e: &mut Enc, p: &Packet<ClusterMsg>) {
-    e.u32(p.id).bool(p.drop);
-    enc_cluster_msg(e, &p.msg);
-}
-
-fn dec_packet(d: &mut Dec) -> Result<Packet<ClusterMsg>, SnapError> {
-    Ok(Packet {
-        id: d.u32()?,
-        drop: d.bool()?,
-        msg: dec_cluster_msg(d)?,
-    })
-}
+picos_trace::snap_enum!(ClusterMsg {
+    0 => Register { task, deps },
+    1 => Ready { task },
+    2 => Finish { task },
+});
 
 impl ClusterSession {
     /// Serializes the full dynamic cluster state.
     /// [`ClusterSession::load_state`] overwrites an identically configured
     /// session with it; [`Clone`] is the in-memory fork.
     pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64(cluster_fingerprint(&self.cfg))
-            .bool(self.sampler.is_some())
-            .bool(self.spans.is_some())
-            .bool(self.faults.is_some())
+        Enc::new()
+            .put(&cluster_fingerprint(&self.cfg))
+            .put(&self.sampler.is_some())
+            .put(&self.spans.is_some())
+            .put(&self.faults.is_some())
             .val(Value::Arr(
                 self.sys.iter().map(|s| s.save_state()).collect(),
             ))
@@ -161,71 +88,32 @@ impl ClusterSession {
                 self.workers.iter().map(|w| w.save_state()).collect(),
             ))
             .val(Value::Arr(
-                self.links
-                    .iter()
-                    .map(|l| l.save_state_with(enc_packet))
-                    .collect(),
+                self.links.iter().map(|l| l.save_state()).collect(),
             ))
-            .seq(self.expected.iter(), |e, q| {
-                e.u32s(q.iter().copied());
-            })
-            .seq(self.arrived.iter(), |e, m| {
-                let mut entries: Vec<(u32, &Arc<[Dependence]>)> =
-                    m.iter().map(|(&t, d)| (t, d)).collect();
-                entries.sort_unstable_by_key(|&(t, _)| t);
-                e.seq(entries, |e, (t, deps)| {
-                    e.u32(t);
-                    enc_deps(e, deps);
-                });
-            })
-            .seq(self.slot_at.iter(), |e, m| {
-                let mut entries: Vec<(u32, SlotRef)> = m.iter().map(|(&t, &s)| (t, s)).collect();
-                entries.sort_unstable_by_key(|&(t, _)| t);
-                e.seq(entries, |e, (t, slot)| {
-                    e.u32(t).u64(slot_pack(slot));
-                });
-            })
-            .seq(self.exec_q.iter(), |e, q| {
-                e.u32s(q.iter().copied());
-            })
-            .u64s(self.placement.iter().map(|&p| p as u64))
-            .seq(self.local.iter(), enc_deps)
-            .seq(self.remote.iter(), |e, frags| {
-                e.seq(frags.iter(), |e, (shard, deps)| {
-                    e.u64(*shard as u64);
-                    enc_deps(e, deps);
-                });
-            })
-            .u64s(self.frag_total.iter().map(|&v| v as u64))
-            .u64s(self.frag_ready.iter().map(|&v| v as u64))
-            .bools(self.local_popped.iter().copied())
-            .u64s(self.local_slot.iter().map(|&s| slot_pack(s)))
-            .u64s(self.durs.iter().copied())
-            .usize(self.rr)
-            .usize(self.next_feed)
-            .u64(self.t)
-            .u64s(self.link_sent.iter().copied())
-            .u32s({
-                let mut r: Vec<u32> = self.restarts.iter().copied().collect();
-                r.sort_unstable();
-                r
-            })
+            .put(&self.expected)
+            .put(&self.arrived)
+            .put(&self.slot_at)
+            .put(&self.exec_q)
+            .put(&self.placement)
+            .put(&self.local)
+            .put(&self.remote)
+            .put(&self.frag_total)
+            .put(&self.frag_ready)
+            .put(&self.local_popped)
+            .put(&self.local_slot)
+            .put(&self.durs)
+            .put(&self.rr)
+            .put(&self.next_feed)
+            .put(&self.t)
+            .put(&self.link_sent)
+            .put(&self.restarts)
             .val(self.ingest.save_state())
             .val(self.log.save_state())
             .val(self.events.save_state())
-            .val(match &self.sampler {
-                Some(s) => s.save_state(),
-                None => Value::Null,
-            })
-            .val(match &self.spans {
-                Some(s) => s.save_state(),
-                None => Value::Null,
-            })
-            .val(match &self.faults {
-                Some(f) => f.save_state_with(enc_cluster_msg),
-                None => Value::Null,
-            });
-        e.done()
+            .put(&self.sampler)
+            .put(&self.spans)
+            .val(self.faults.as_ref().map_or(Value::Null, |f| f.save_state()))
+            .done()
     }
 
     /// Overwrites this session's dynamic state with the state recorded by
@@ -235,149 +123,67 @@ impl ClusterSession {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] on a malformed record or when the snapshot
-    /// was taken under a different cluster configuration, fault plan or
-    /// observation setup.
+    /// Returns [`SnapError`] on a malformed record, when the snapshot was
+    /// taken under a different cluster configuration, fault plan or
+    /// observation setup, or when it holds a TM slot the configuration
+    /// does not have. The session must then be discarded.
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let k = self.cfg.shards;
         let mut d = Dec::new(v, "cluster session")?;
-        guard("cluster config", d.u64()?, cluster_fingerprint(&self.cfg))?;
-        guard(
-            "cluster sampler attached",
-            d.bool()? as u64,
-            self.sampler.is_some() as u64,
-        )?;
-        guard(
-            "cluster spans attached",
-            d.bool()? as u64,
-            self.spans.is_some() as u64,
-        )?;
-        guard(
-            "cluster fault layer attached",
-            d.bool()? as u64,
-            self.faults.is_some() as u64,
-        )?;
-        let sys = d.val()?;
-        let workers = d.val()?;
-        let links = d.val()?;
-        let expected: Vec<VecDeque<u32>> = d.seq(|d| Ok(d.u32s()?.into()))?;
-        let arrived: Vec<Vec<(u32, Arc<[Dependence]>)>> =
-            d.seq(|d| d.seq(|d| Ok((d.u32()?, dec_deps(d)?))))?;
-        let slot_at: Vec<Vec<(u32, SlotRef)>> =
-            d.seq(|d| d.seq(|d| Ok((d.u32()?, slot_unpack(d.u64()?)))))?;
-        let exec_q: Vec<VecDeque<u32>> = d.seq(|d| Ok(d.u32s()?.into()))?;
-        for (name, len) in [
-            ("expected", expected.len()),
-            ("arrived", arrived.len()),
-            ("slot_at", slot_at.len()),
-            ("exec_q", exec_q.len()),
-        ] {
-            if len != k {
-                return Err(SnapError::new(format!(
-                    "cluster session: {len} {name} columns for {k} shards"
-                )));
-            }
+        d.expect("cluster config", &cluster_fingerprint(&self.cfg))?;
+        d.expect("cluster sampler attached", &self.sampler.is_some())?;
+        d.expect("cluster spans attached", &self.spans.is_some())?;
+        d.expect("cluster fault layer attached", &self.faults.is_some())?;
+        for (s, v) in self.sys.iter_mut().zip(d.units("shard core", k)?) {
+            s.load_state(v)?;
         }
-        let placement: Vec<u16> = d.u64s()?.into_iter().map(|v| v as u16).collect();
-        let local: Vec<Arc<[Dependence]>> = d.seq(dec_deps)?;
-        let remote: Vec<Vec<(u16, Arc<[Dependence]>)>> =
-            d.seq(|d| d.seq(|d| Ok((d.u64()? as u16, dec_deps(d)?))))?;
-        let frag_total: Vec<u8> = d.u64s()?.into_iter().map(|v| v as u8).collect();
-        let frag_ready: Vec<u8> = d.u64s()?.into_iter().map(|v| v as u8).collect();
-        let local_popped = d.bools()?;
-        let local_slot: Vec<SlotRef> = d.u64s()?.into_iter().map(slot_unpack).collect();
-        let durs = d.u64s()?;
-        let rr = d.usize()?;
-        let next_feed = d.usize()?;
-        let t = d.u64()?;
-        let link_sent = d.u64s()?;
-        if link_sent.len() != k {
-            return Err(SnapError::new(format!(
-                "cluster session: {} link counters for {k} shards",
-                link_sent.len()
-            )));
+        for (w, v) in self.workers.iter_mut().zip(d.units("worker pool", k)?) {
+            w.load_state(v)?;
         }
-        let restarts = d.u32s()?;
-        // Everything decoded; now apply, overwriting in place so a decode
-        // error above leaves the session untouched.
-        {
-            let mut d = Dec::new(sys, "cluster shard cores")?;
-            if d.remaining() != k {
-                return Err(SnapError::new(format!(
-                    "cluster session: {} shard cores for {k} shards",
-                    d.remaining()
-                )));
-            }
-            for s in self.sys.iter_mut() {
-                s.load_state(d.val()?)?;
-            }
+        for (l, v) in self.links.iter_mut().zip(d.units("link", k)?) {
+            l.load_state(v)?;
         }
-        {
-            let mut d = Dec::new(workers, "cluster worker pools")?;
-            if d.remaining() != k {
-                return Err(SnapError::new(format!(
-                    "cluster session: {} worker pools for {k} shards",
-                    d.remaining()
-                )));
-            }
-            for w in self.workers.iter_mut() {
-                w.load_state(d.val()?)?;
-            }
-        }
-        {
-            let mut d = Dec::new(links, "cluster links")?;
-            if d.remaining() != k {
-                return Err(SnapError::new(format!(
-                    "cluster session: {} links for {k} shards",
-                    d.remaining()
-                )));
-            }
-            for l in self.links.iter_mut() {
-                l.load_state_with(d.val()?, dec_packet)?;
-            }
-        }
+        self.expected = d.table("expected", k)?;
+        self.arrived = d.table("arrived", k)?;
+        self.slot_at = d.table("slot_at", k)?;
+        self.exec_q = d.table("exec_q", k)?;
+        self.placement = d.get()?;
+        self.local = d.get()?;
+        self.remote = d.get()?;
+        self.frag_total = d.get()?;
+        self.frag_ready = d.get()?;
+        self.local_popped = d.get()?;
+        self.local_slot = d.get()?;
+        self.durs = d.get()?;
+        self.rr = d.get()?;
+        self.next_feed = d.get()?;
+        self.t = d.get()?;
+        self.link_sent = d.table("link counter", k)?;
+        self.restarts = d.get()?;
         self.ingest.load_state(d.val()?)?;
         self.log.load_state(d.val()?)?;
         self.events.load_state(d.val()?)?;
-        self.sampler = match d.val()? {
-            Value::Null => None,
-            v => Some(WindowSampler::load_state(v)?),
-        };
-        self.spans = match d.val()? {
-            Value::Null => None,
-            v => Some(SpanLog::load_state(v)?),
-        };
+        self.sampler = d.get()?;
+        self.spans = d.get()?;
         match (&mut self.faults, d.val()?) {
             (None, Value::Null) => {}
-            (Some(f), v) => f.load_state_with(v, dec_cluster_msg)?,
+            (Some(f), v) => f.load_state(v)?,
             (None, _) => {
                 return Err(SnapError::new("cluster session: unexpected fault state"));
             }
         }
-        self.expected = expected;
-        self.arrived = arrived
-            .into_iter()
-            .map(|m| m.into_iter().collect())
-            .collect();
-        self.slot_at = slot_at
-            .into_iter()
-            .map(|m| m.into_iter().collect())
-            .collect();
-        self.exec_q = exec_q;
-        self.placement = placement;
-        self.local = local;
-        self.remote = remote;
-        self.frag_total = frag_total;
-        self.frag_ready = frag_ready;
-        self.local_popped = local_popped;
-        self.local_slot = local_slot;
-        self.durs = durs;
-        self.rr = rr;
-        self.next_feed = next_feed;
-        self.t = t;
-        self.link_sent = link_sent;
-        self.restarts = restarts.into_iter().collect();
         self.engine_err = None;
-        Ok(())
+        self.check_slots()
+    }
+
+    /// Checks every TM slot the driver holds outside the shard cores.
+    fn check_slots(&self) -> Result<(), SnapError> {
+        let cfg = &self.cfg.picos;
+        self.workers
+            .iter()
+            .flat_map(|w| w.slots())
+            .chain(self.local_slot.iter().copied())
+            .chain(self.slot_at.iter().flat_map(|m| m.values().copied()))
+            .try_for_each(|slot| cfg.check_slot(slot))
     }
 }

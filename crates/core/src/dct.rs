@@ -8,12 +8,15 @@
 //! then walks the chain backwards), Producer-Producer chains are woken in
 //! sequence as versions drain (paper, Section III-D).
 
-use crate::config::Timing;
+use crate::config::{PicosConfig, Timing};
 use crate::dm::{Dm, DmAccess};
 use crate::msg::{DepFinMsg, NewDepMsg, ResolveKind, TrsMsg, VmRef};
+use crate::snap::refs;
 use crate::stats::{hist_bucket, DM_CHAIN_BOUNDS};
 use crate::vm::{Vm, VmEntry};
 use crate::Cycle;
+use picos_trace::snap::{Dec, Enc, SnapError};
+use picos_trace::Value;
 
 /// Packets a DCT emits while handling one message (all routed via the ARB).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +78,7 @@ impl Dct {
     }
 
     /// DM version-chain depth observed after each successful
-    /// registration, bucketed by [`DM_CHAIN_BOUNDS`].
+    /// registration, bucketed by `DM_CHAIN_BOUNDS`.
     pub fn chain_hist(&self) -> &[u64; DM_CHAIN_BOUNDS.len() + 1] {
         &self.chain_hist
     }
@@ -281,37 +284,31 @@ impl Dct {
 
     /// Serializes the dynamic state: the DM, the VM and the instance
     /// counters.
-    pub fn save_state(&self) -> picos_trace::Value {
-        use picos_trace::snap::Enc;
-        let mut e = Enc::new();
-        e.u64(self.id as u64)
+    pub fn save_state(&self) -> Value {
+        Enc::new()
+            .put(&self.id)
             .val(self.dm.save_state())
             .val(self.vm.save_state())
-            .u64(self.deps_processed)
-            .u64(self.wakes_sent)
-            .u64s(self.chain_hist.iter().copied());
-        e.done()
+            .put(&self.deps_processed)
+            .put(&self.wakes_sent)
+            .put(&self.chain_hist)
+            .done()
     }
 
     /// Overwrites the dynamic state from [`Dct::save_state`] output.
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or an
-    /// instance mismatch.
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use picos_trace::snap::{guard, Dec};
+    /// Returns [`SnapError`] on a malformed record or an instance
+    /// mismatch.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "dct")?;
-        guard("dct id", d.u64()?, self.id as u64)?;
+        d.expect("dct id", &self.id)?;
         self.dm.load_state(d.val()?)?;
         self.vm.load_state(d.val()?)?;
-        self.deps_processed = d.u64()?;
-        self.wakes_sent = d.u64()?;
-        let hist = d.u64s()?;
-        if hist.len() != self.chain_hist.len() {
-            return Err(picos_trace::SnapError::new("dct: histogram shape mismatch"));
-        }
-        self.chain_hist.copy_from_slice(&hist);
+        self.deps_processed = d.get()?;
+        self.wakes_sent = d.get()?;
+        self.chain_hist = d.get()?;
         Ok(())
     }
 
@@ -335,6 +332,10 @@ pub fn dct_for_addr(addr: u64, num_dct: usize) -> u8 {
     // to DCT 0.
     let h = (addr >> 6).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
     (h as usize % num_dct) as u8
+}
+
+refs! {
+    Dct: dm, vm;
 }
 
 #[cfg(test)]

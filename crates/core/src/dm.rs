@@ -13,9 +13,12 @@
 //! way; the DCT must stall that dependence until an entry retires. Conflict
 //! counts are the paper's Table II.
 
-use crate::config::DmDesign;
+use crate::config::{DmDesign, PicosConfig};
 use crate::msg::VmRef;
 use crate::pearson::{direct_index, pearson_index};
+use crate::snap::{load_sparse, refs, save_sparse};
+use picos_trace::snap::{Dec, Enc, SnapError};
+use picos_trace::Value;
 
 /// Location of a DM entry: `(set, way)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -270,82 +273,55 @@ impl Dm {
     }
 }
 
+picos_trace::snap_struct!(DmEntry {
+    tag,
+    vm_head,
+    vm_tail,
+    live_versions,
+    refs,
+    all_inputs,
+});
+
 impl Dm {
     /// Serializes the dynamic state: conflict/peak counters and every live
     /// way. Occupancy counts and the live total are derived on load.
-    pub fn save_state(&self) -> picos_trace::Value {
-        use crate::snap::vm_pack;
-        use picos_trace::snap::Enc;
-        let live = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)));
-        let mut e = Enc::new();
-        e.usize(self.sets)
-            .usize(self.ways)
-            .u64(self.conflicts)
-            .usize(self.peak_live)
-            .seq(live, |e, (idx, ent)| {
-                e.usize(idx)
-                    .u64(ent.tag)
-                    .u64(vm_pack(ent.vm_head))
-                    .u64(vm_pack(ent.vm_tail))
-                    .u32(ent.live_versions)
-                    .u32(ent.refs)
-                    .bool(ent.all_inputs);
-            });
-        e.done()
+    pub fn save_state(&self) -> Value {
+        Enc::new()
+            .put(&self.sets)
+            .put(&self.ways)
+            .put(&self.conflicts)
+            .put(&self.peak_live)
+            .val(save_sparse(&self.entries))
+            .done()
     }
 
     /// Overwrites the dynamic state from [`Dm::save_state`] output.
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or a
-    /// geometry mismatch.
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use crate::snap::vm_unpack;
-        use picos_trace::snap::{guard, Dec};
+    /// Returns [`SnapError`] on a malformed record or a geometry mismatch.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "dm")?;
-        guard("dm sets", d.u64()?, self.sets as u64)?;
-        guard("dm ways", d.u64()?, self.ways as u64)?;
-        let conflicts = d.u64()?;
-        let peak_live = d.usize()?;
-        let live = d.seq(|d| {
-            let idx = d.usize()?;
-            let tag = d.u64()?;
-            let vm_head = vm_unpack(d.u64()?);
-            let vm_tail = vm_unpack(d.u64()?);
-            let live_versions = d.u32()?;
-            let refs = d.u32()?;
-            let all_inputs = d.bool()?;
-            Ok((
-                idx,
-                DmEntry {
-                    tag,
-                    vm_head,
-                    vm_tail,
-                    live_versions,
-                    refs,
-                    all_inputs,
-                },
-            ))
-        })?;
-        self.entries.iter_mut().for_each(|e| *e = None);
+        d.expect("dm sets", &self.sets)?;
+        d.expect("dm ways", &self.ways)?;
+        self.conflicts = d.get()?;
+        self.peak_live = d.get()?;
+        load_sparse(&mut self.entries, d.val()?, "dm")?;
         self.occupancy.iter_mut().for_each(|o| *o = 0);
-        self.conflicts = conflicts;
-        self.peak_live = peak_live;
-        self.live = live.len();
-        for (idx, ent) in live {
-            if idx >= self.entries.len() {
-                return Err(picos_trace::SnapError::new("dm: live index out of range"));
+        self.live = 0;
+        for (i, e) in self.entries.iter().enumerate() {
+            if e.is_some() {
+                self.occupancy[i / self.ways] += 1;
+                self.live += 1;
             }
-            self.occupancy[idx / self.ways] += 1;
-            self.entries[idx] = Some(ent);
         }
         Ok(())
     }
+}
+
+refs! {
+    DmEntry: vm_head, vm_tail;
+    Dm: entries;
 }
 
 #[cfg(test)]

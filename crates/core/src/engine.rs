@@ -49,13 +49,14 @@ use crate::dm::Dm;
 use crate::msg::{
     ArbMsg, DepFinMsg, FinishedReq, NewDepMsg, NewTaskReq, ReadyTask, SlotRef, TrsMsg,
 };
+use crate::snap::{bound, Refs};
 use crate::stats::{hist_bucket, Stats, TRS_WAKE_BOUNDS};
 use crate::trs::{Trs, TrsEmit};
 use crate::vm::Vm;
 use crate::Cycle;
 use picos_metrics::span::{SpanKind, SpanLog};
 use picos_metrics::{SeriesSpec, Timeline, WindowSampler};
-use picos_trace::snap::{Dec, Enc, SnapError};
+use picos_trace::snap::{Dec, Enc, Snap, SnapError};
 use picos_trace::{Dependence, TaskId, Trace, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -65,7 +66,7 @@ use std::sync::Arc;
 ///
 /// All variants are `Copy`: batch processing reads events straight out of
 /// a wheel slot without moving the slot's storage.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Delivery {
     Trs(u8, TrsMsg),
     DctNew(u8, NewDepMsg),
@@ -1364,82 +1365,42 @@ impl PicosSystem {
 
 // ---------------------------------------------------------------- snapshots
 
-/// A delivery: one variant code, then that variant's fields.
-fn enc_delivery(e: &mut Enc, d: &Delivery) {
-    use crate::snap::*;
-    match d {
-        Delivery::Trs(i, m) => {
-            e.u64(0).u64(*i as u64);
-            enc_trs_msg(e, m);
-        }
-        Delivery::DctNew(i, m) => {
-            e.u64(1).u64(*i as u64);
-            enc_new_dep(e, m);
-        }
-        Delivery::DctFin(i, m) => {
-            e.u64(2).u64(*i as u64);
-            enc_dep_fin(e, *m);
-        }
-        Delivery::Arb(m) => {
-            e.u64(3);
-            enc_arb_msg(e, m);
-        }
-        Delivery::Ts(task, slot) => {
-            e.u64(4).u32(task.raw()).u64(slot_pack(*slot));
-        }
-        Delivery::ReadyOut(r) => {
-            e.u64(5)
-                .u32(r.task.raw())
-                .u64(slot_pack(r.slot))
-                .u64(r.ready_at);
-        }
-        Delivery::Wake(rank) => {
-            e.u64(6).u32(*rank);
-        }
+picos_trace::snap_enum!(Delivery {
+    0 => Trs(trs, msg),
+    1 => DctNew(dct, msg),
+    2 => DctFin(dct, msg),
+    3 => Arb(msg),
+    4 => Ts(task, slot),
+    5 => ReadyOut(ready),
+    6 => Wake(rank),
+});
+picos_trace::snap_struct!(Ev { t, seq, d });
+
+/// The queued messages, head first.
+impl<T: Copy + Snap> Snap for Fifo<T> {
+    fn save(&self) -> Value {
+        Value::Arr(self.buf[self.head..].iter().map(T::save).collect())
+    }
+
+    fn load(v: &Value) -> Result<Self, SnapError> {
+        Ok(Fifo {
+            buf: Snap::load(v)?,
+            head: 0,
+        })
     }
 }
 
-fn dec_delivery(d: &mut Dec<'_>) -> Result<Delivery, SnapError> {
-    use crate::snap::*;
-    Ok(match d.u64()? {
-        0 => {
-            let i = d.u64()? as u8;
-            Delivery::Trs(i, dec_trs_msg(d)?)
-        }
-        1 => {
-            let i = d.u64()? as u8;
-            Delivery::DctNew(i, dec_new_dep(d)?)
-        }
-        2 => {
-            let i = d.u64()? as u8;
-            Delivery::DctFin(i, dec_dep_fin(d)?)
-        }
-        3 => Delivery::Arb(dec_arb_msg(d)?),
-        4 => Delivery::Ts(TaskId::new(d.u32()?), slot_unpack(d.u64()?)),
-        5 => Delivery::ReadyOut(ReadyTask {
-            task: TaskId::new(d.u32()?),
-            slot: slot_unpack(d.u64()?),
-            ready_at: d.u64()?,
-        }),
-        6 => Delivery::Wake(d.u32()?),
-        other => return Err(SnapError::new(format!("unknown delivery kind {other}"))),
-    })
-}
+picos_trace::snap_enum!(GwState {
+    0 => Idle,
+    1 => Dispatching { deps, slot, next },
+});
 
-fn enc_new_req(e: &mut Enc, r: &NewTaskReq) {
-    e.u32(r.task.raw()).seq(r.deps.iter(), |e, dep| {
-        crate::snap::enc_dep(e, *dep);
-    });
-}
-
-fn dec_new_req(d: &mut Dec<'_>) -> Result<NewTaskReq, SnapError> {
-    let task = TaskId::new(d.u32()?);
-    let deps = d.seq(crate::snap::dec_dep)?;
-    Ok(NewTaskReq {
-        task,
-        deps: deps.into(),
-    })
-}
+picos_trace::snap_struct!(SpanProbe {
+    log,
+    shard,
+    slot_task,
+    slot_left
+});
 
 impl PicosSystem {
     /// Serializes the complete dynamic state: the clock, the timing wheel
@@ -1449,114 +1410,64 @@ impl PicosSystem {
     /// [`PicosSystem::load_state`] overwrites an identically configured
     /// system, guarded by a config fingerprint.
     pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64(crate::snap::config_fingerprint(&self.cfg))
-            .u64(self.now);
-        // Timing wheel: occupied slots as (absolute time, deliveries).
+        // Wheel slots as (absolute time, contents), occupied slots only.
         let size = self.wheel.len() as Cycle;
         let abs = |slot: usize| -> Cycle {
             self.now + ((slot as Cycle + size - (self.now & self.wheel_mask)) & self.wheel_mask)
         };
-        let occupied = self
+        let at = |slot: usize, v: Value| Value::Arr(vec![abs(slot).save(), v]);
+        let wheel = self
             .wheel
             .iter()
             .enumerate()
-            .filter(|(_, evs)| !evs.is_empty());
-        e.seq(occupied, |e, (slot, evs)| {
-            e.u64(abs(slot)).seq(evs, enc_delivery);
-        });
-        let wakes = (0..self.wheel.len()).filter(|&slot| {
-            self.wake_wheel[slot * self.wake_words..(slot + 1) * self.wake_words]
-                .iter()
-                .any(|&w| w != 0)
-        });
-        e.seq(wakes, |e, slot| {
-            e.u64(abs(slot)).u64s(
-                self.wake_wheel[slot * self.wake_words..(slot + 1) * self.wake_words]
-                    .iter()
-                    .copied(),
-            );
-        });
-        let mut overflow: Vec<&Ev> = self.overflow.iter().map(|Reverse(ev)| ev).collect();
-        overflow.sort_by_key(|ev| (ev.t, ev.seq));
-        e.seq(overflow, |e, ev| {
-            e.u64(ev.t).u64(ev.seq);
-            enc_delivery(e, &ev.d);
-        });
-        e.u64(self.overflow_seq)
-            .u64(self.next_at)
-            .u64s(self.pending.iter().copied())
-            .seq(&self.ext_new, enc_new_req)
-            .seq(&self.ext_fin, |e, f| {
-                e.u32(f.task.raw()).u64(crate::snap::slot_pack(f.slot));
+            .filter(|(_, evs)| !evs.is_empty())
+            .map(|(slot, evs)| at(slot, evs.save()))
+            .collect();
+        let wakes = (0..self.wheel.len())
+            .filter_map(|slot| {
+                let words = &self.wake_wheel[slot * self.wake_words..(slot + 1) * self.wake_words];
+                let saved = Value::Arr(words.iter().map(u64::save).collect());
+                words.iter().any(|&w| w != 0).then(|| at(slot, saved))
             })
-            .seq(&self.ready_buf, |e, r| {
-                e.u32(r.task.raw())
-                    .u64(crate::snap::slot_pack(r.slot))
-                    .u64(r.ready_at);
-            })
-            .seq(&self.trs_q, |e, q| {
-                e.seq(&q.buf[q.head..], crate::snap::enc_trs_msg);
-            })
-            .seq(&self.dct_new_q, |e, q| {
-                e.seq(&q.buf[q.head..], crate::snap::enc_new_dep);
-            })
-            .seq(&self.dct_fin_q, |e, q| {
-                e.seq(&q.buf[q.head..], |e, m| crate::snap::enc_dep_fin(e, *m));
-            })
-            .seq(&self.arb_q.buf[self.arb_q.head..], |e, m| {
-                crate::snap::enc_arb_msg(e, m);
-            })
-            .seq(&self.ts_q.buf[self.ts_q.head..], |e, (task, slot)| {
-                e.u32(task.raw()).u64(crate::snap::slot_pack(*slot));
-            })
+            .collect();
+        Enc::new()
+            .put(&crate::snap::config_fingerprint(&self.cfg))
+            .put(&self.now)
+            .val(Value::Arr(wheel))
+            .val(Value::Arr(wakes))
+            .put(&self.overflow)
+            .put(&self.overflow_seq)
+            .put(&self.next_at)
+            .put(&self.pending)
+            .put(&self.ext_new)
+            .put(&self.ext_fin)
+            .put(&self.ready_buf)
+            .put(&self.trs_q)
+            .put(&self.dct_new_q)
+            .put(&self.dct_fin_q)
+            .put(&self.arb_q)
+            .put(&self.ts_q)
             .val(Value::Arr(self.trs.iter().map(Trs::save_state).collect()))
-            .val(Value::Arr(self.dct.iter().map(Dct::save_state).collect()));
-        let mut gw = Enc::new();
-        match &self.gw_state {
-            GwState::Idle => {
-                gw.u64(0);
-            }
-            GwState::Dispatching { deps, slot, next } => {
-                gw.u64(1)
-                    .seq(deps.iter(), |e, dep| crate::snap::enc_dep(e, *dep))
-                    .u64(crate::snap::slot_pack(*slot))
-                    .usize(*next);
-            }
-        }
-        e.val(gw.done())
-            .bool(self.gw_blocked_counted)
-            .usize(self.rr_trs)
-            .u64(self.gw_new_busy)
-            .u64(self.gw_fin_busy)
-            .u64s(self.trs_busy.iter().copied())
-            .u64s(self.dct_new_busy.iter().copied())
-            .u64s(self.dct_fin_busy.iter().copied())
-            .u64(self.arb_busy)
-            .u64(self.ts_busy)
-            .usize(self.in_flight)
-            .val(self.stats.save_state())
-            .val(match &self.sampler {
-                Some(s) => s.save_state(),
-                None => Value::Null,
-            });
-        let spans = match &self.spans {
-            Some(p) => {
-                let mut se = Enc::new();
-                se.val(p.log.save_state())
-                    .u64(p.shard as u64)
-                    .u32s(p.slot_task.iter().copied())
-                    .u64s(p.slot_left.iter().map(|&b| b as u64));
-                se.done()
-            }
-            None => Value::Null,
-        };
-        e.val(spans)
-            .u64(self.gw_blocked_at)
-            .u64s(self.dct_dm_blocked_at.iter().copied())
-            .u64s(self.dct_vm_blocked_at.iter().copied())
-            .u64s(self.slot_in_at.iter().copied());
-        e.done()
+            .val(Value::Arr(self.dct.iter().map(Dct::save_state).collect()))
+            .put(&self.gw_state)
+            .put(&self.gw_blocked_counted)
+            .put(&self.rr_trs)
+            .put(&self.gw_new_busy)
+            .put(&self.gw_fin_busy)
+            .put(&self.trs_busy)
+            .put(&self.dct_new_busy)
+            .put(&self.dct_fin_busy)
+            .put(&self.arb_busy)
+            .put(&self.ts_busy)
+            .put(&self.in_flight)
+            .put(&self.stats)
+            .put(&self.sampler)
+            .put(&self.spans)
+            .put(&self.gw_blocked_at)
+            .put(&self.dct_dm_blocked_at)
+            .put(&self.dct_vm_blocked_at)
+            .put(&self.slot_in_at)
+            .done()
     }
 
     /// Overwrites the dynamic state of an identically configured system
@@ -1565,141 +1476,22 @@ impl PicosSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] on a malformed record or when the snapshot
-    /// was taken under a different configuration.
+    /// Returns [`SnapError`] on a malformed record, when the snapshot was
+    /// taken under a different configuration, or when it holds a unit or
+    /// table reference this configuration does not have. The system must
+    /// then be discarded.
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
-        use picos_trace::snap::guard;
+        let (num_trs, num_dct) = (self.trs.len(), self.dct.len());
         let mut d = Dec::new(v, "picos")?;
-        guard(
-            "picos config",
-            d.u64()?,
-            crate::snap::config_fingerprint(&self.cfg),
-        )?;
-        let now = d.u64()?;
-        let wheel = d.seq(|d| {
-            let t = d.u64()?;
-            let evs = d.seq(dec_delivery)?;
-            Ok((t, evs))
-        })?;
-        let wakes = d.seq(|d| Ok((d.u64()?, d.u64s()?)))?;
-        let overflow = d.seq(|d| {
-            let t = d.u64()?;
-            let seq = d.u64()?;
-            let dv = dec_delivery(d)?;
-            Ok(Ev { t, seq, d: dv })
-        })?;
-        let overflow_seq = d.u64()?;
-        let next_at = d.u64()?;
-        let pending = d.u64s()?;
-        let ext_new = d.seq(dec_new_req)?;
-        let ext_fin = d.seq(|d| {
-            Ok(FinishedReq {
-                task: TaskId::new(d.u32()?),
-                slot: crate::snap::slot_unpack(d.u64()?),
-            })
-        })?;
-        let ready_buf = d.seq(|d| {
-            Ok(ReadyTask {
-                task: TaskId::new(d.u32()?),
-                slot: crate::snap::slot_unpack(d.u64()?),
-                ready_at: d.u64()?,
-            })
-        })?;
-        let trs_q = d.seq(|d| d.seq(crate::snap::dec_trs_msg))?;
-        let dct_new_q = d.seq(|d| d.seq(crate::snap::dec_new_dep))?;
-        let dct_fin_q = d.seq(|d| d.seq(crate::snap::dec_dep_fin))?;
-        let arb_q = d.seq(crate::snap::dec_arb_msg)?;
-        let ts_q = d.seq(|d| Ok((TaskId::new(d.u32()?), crate::snap::slot_unpack(d.u64()?))))?;
-        let trs_states = d
-            .val()?
-            .as_array()
-            .ok_or_else(|| SnapError::new("picos: TRS table is not an array"))?;
-        let dct_states = d
-            .val()?
-            .as_array()
-            .ok_or_else(|| SnapError::new("picos: DCT table is not an array"))?;
-        guard(
-            "picos num_trs",
-            trs_states.len() as u64,
-            self.trs.len() as u64,
-        )?;
-        guard(
-            "picos num_dct",
-            dct_states.len() as u64,
-            self.dct.len() as u64,
-        )?;
-        let gw_v = d.val()?;
-        let mut gd = Dec::new(gw_v, "gw")?;
-        let gw_state = match gd.u64()? {
-            0 => GwState::Idle,
-            1 => {
-                let deps = gd.seq(crate::snap::dec_dep)?;
-                GwState::Dispatching {
-                    deps: deps.into(),
-                    slot: crate::snap::slot_unpack(gd.u64()?),
-                    next: gd.usize()?,
-                }
-            }
-            other => return Err(SnapError::new(format!("unknown GW state {other}"))),
-        };
-        let gw_blocked_counted = d.bool()?;
-        let rr_trs = d.usize()?;
-        let gw_new_busy = d.u64()?;
-        let gw_fin_busy = d.u64()?;
-        let trs_busy = d.u64s()?;
-        let dct_new_busy = d.u64s()?;
-        let dct_fin_busy = d.u64s()?;
-        let arb_busy = d.u64()?;
-        let ts_busy = d.u64()?;
-        let in_flight = d.usize()?;
-        let stats = Stats::load_state(d.val()?)?;
-        let sampler = match d.val()? {
-            Value::Null => None,
-            v => Some(WindowSampler::load_state(v)?),
-        };
-        let spans = match d.val()? {
-            Value::Null => None,
-            v => {
-                let mut sd = Dec::new(v, "span probe")?;
-                let log = SpanLog::load_state(sd.val()?)?;
-                let shard = sd.u64()? as u16;
-                let slot_task = sd.u32s()?;
-                let slot_left: Vec<u8> = sd.u64s()?.into_iter().map(|v| v as u8).collect();
-                let slots = self.cfg.num_trs * self.cfg.tm_entries;
-                guard("span slots", slot_task.len() as u64, slots as u64)?;
-                Some(SpanProbe {
-                    log,
-                    shard,
-                    slot_task,
-                    slot_left,
-                })
-            }
-        };
-        let gw_blocked_at = d.u64()?;
-        let dct_dm_blocked_at = d.u64s()?;
-        let dct_vm_blocked_at = d.u64s()?;
-        let slot_in_at = d.u64s()?;
-        if pending.len() != self.pending.len()
-            || trs_busy.len() != self.trs_busy.len()
-            || dct_new_busy.len() != self.dct_new_busy.len()
-            || dct_fin_busy.len() != self.dct_fin_busy.len()
-            || dct_dm_blocked_at.len() != self.dct_dm_blocked_at.len()
-            || dct_vm_blocked_at.len() != self.dct_vm_blocked_at.len()
-            || slot_in_at.len() != self.slot_in_at.len()
-            || trs_q.len() != self.trs_q.len()
-            || dct_new_q.len() != self.dct_new_q.len()
-            || dct_fin_q.len() != self.dct_fin_q.len()
-        {
-            return Err(SnapError::new("picos: per-unit table shape mismatch"));
-        }
-        // All sections decoded — overwrite.
-        self.now = now;
+        d.expect("picos config", &crate::snap::config_fingerprint(&self.cfg))?;
+        self.now = d.get()?;
+        let now = self.now;
         for slot in &mut self.wheel {
             slot.clear();
         }
         self.wheel_bits.iter_mut().for_each(|w| *w = 0);
         self.wheel_len = 0;
-        for (t, evs) in wheel {
+        for (t, evs) in d.get::<Vec<(Cycle, Vec<Delivery>)>>()? {
             if t < now || t - now > self.wheel_mask {
                 return Err(SnapError::new("picos: wheel event outside horizon"));
             }
@@ -1711,7 +1503,7 @@ impl PicosSystem {
         self.wake_wheel.iter_mut().for_each(|w| *w = 0);
         self.wake_bits.iter_mut().for_each(|w| *w = 0);
         self.wake_slots = 0;
-        for (t, words) in wakes {
+        for (t, words) in d.get::<Vec<(Cycle, Vec<u64>)>>()? {
             if t < now || t - now > self.wheel_mask || words.len() != self.wake_words {
                 return Err(SnapError::new("picos: wake slot outside horizon"));
             }
@@ -1721,49 +1513,97 @@ impl PicosSystem {
             self.wake_wheel[slot * self.wake_words..(slot + 1) * self.wake_words]
                 .copy_from_slice(&words);
         }
-        self.overflow = overflow.into_iter().map(Reverse).collect();
-        self.overflow_seq = overflow_seq;
-        self.next_at = next_at;
-        self.pending = pending;
-        self.ext_new = ext_new.into();
-        self.ext_fin = ext_fin.into();
-        self.ready_buf = ready_buf.into();
-        fn fifo<T: Copy>(buf: Vec<T>) -> Fifo<T> {
-            Fifo { buf, head: 0 }
-        }
-        self.trs_q = trs_q.into_iter().map(fifo).collect();
-        self.dct_new_q = dct_new_q.into_iter().map(fifo).collect();
-        self.dct_fin_q = dct_fin_q.into_iter().map(fifo).collect();
-        self.arb_q = Fifo {
-            buf: arb_q,
-            head: 0,
-        };
-        self.ts_q = Fifo { buf: ts_q, head: 0 };
-        for (t, v) in self.trs.iter_mut().zip(trs_states) {
+        self.overflow = d.get()?;
+        self.overflow_seq = d.get()?;
+        self.next_at = d.get()?;
+        self.pending = d.table("pending", self.pending.len())?;
+        self.ext_new = d.get()?;
+        self.ext_fin = d.get()?;
+        self.ready_buf = d.get()?;
+        self.trs_q = d.table("trs queue", num_trs)?;
+        self.dct_new_q = d.table("dct new queue", num_dct)?;
+        self.dct_fin_q = d.table("dct fin queue", num_dct)?;
+        self.arb_q = d.get()?;
+        self.ts_q = d.get()?;
+        for (t, v) in self.trs.iter_mut().zip(d.units("trs", num_trs)?) {
             t.load_state(v)?;
         }
-        for (dc, v) in self.dct.iter_mut().zip(dct_states) {
+        for (dc, v) in self.dct.iter_mut().zip(d.units("dct", num_dct)?) {
             dc.load_state(v)?;
         }
-        self.gw_state = gw_state;
-        self.gw_blocked_counted = gw_blocked_counted;
-        self.rr_trs = rr_trs;
-        self.gw_new_busy = gw_new_busy;
-        self.gw_fin_busy = gw_fin_busy;
-        self.trs_busy = trs_busy;
-        self.dct_new_busy = dct_new_busy;
-        self.dct_fin_busy = dct_fin_busy;
-        self.arb_busy = arb_busy;
-        self.ts_busy = ts_busy;
-        self.in_flight = in_flight;
-        self.stats = stats;
-        self.sampler = sampler;
-        self.spans = spans;
-        self.gw_blocked_at = gw_blocked_at;
-        self.dct_dm_blocked_at = dct_dm_blocked_at;
-        self.dct_vm_blocked_at = dct_vm_blocked_at;
-        self.slot_in_at = slot_in_at;
+        self.gw_state = d.get()?;
+        self.gw_blocked_counted = d.get()?;
+        self.rr_trs = d.get()?;
+        self.gw_new_busy = d.get()?;
+        self.gw_fin_busy = d.get()?;
+        self.trs_busy = d.table("trs busy", num_trs)?;
+        self.dct_new_busy = d.table("dct new busy", num_dct)?;
+        self.dct_fin_busy = d.table("dct fin busy", num_dct)?;
+        self.arb_busy = d.get()?;
+        self.ts_busy = d.get()?;
+        self.in_flight = d.get()?;
+        self.stats = d.get()?;
+        self.sampler = d.get()?;
+        self.spans = d.get()?;
+        self.gw_blocked_at = d.get()?;
+        self.dct_dm_blocked_at = d.table("dct dm blocked-at", num_dct)?;
+        self.dct_vm_blocked_at = d.table("dct vm blocked-at", num_dct)?;
+        self.slot_in_at = d.table("slot in-at", self.slot_in_at.len())?;
+        self.check_refs()
+    }
+
+    /// Checks every unit index and table reference the restored state
+    /// holds against the configuration.
+    fn check_refs(&self) -> Result<(), SnapError> {
+        let cfg = &self.cfg;
+        self.wheel.check(cfg)?;
+        self.overflow
+            .iter()
+            .try_for_each(|Reverse(ev)| ev.d.check(cfg))?;
+        self.ext_fin.iter().try_for_each(|f| f.check(cfg))?;
+        self.ready_buf.iter().try_for_each(|r| r.check(cfg))?;
+        self.trs_q.check(cfg)?;
+        self.dct_new_q.check(cfg)?;
+        self.dct_fin_q.check(cfg)?;
+        self.arb_q.check(cfg)?;
+        self.ts_q.check(cfg)?;
+        self.trs.check(cfg)?;
+        self.dct.check(cfg)?;
+        if let GwState::Dispatching { deps, slot, next } = &self.gw_state {
+            slot.check(cfg)?;
+            bound("GW next dependence", *next, deps.len() + 1)?;
+        }
+        bound("round-robin TRS", self.rr_trs, cfg.num_trs)?;
+        let slots = cfg.num_trs * cfg.tm_entries;
+        if let Some(p) = &self.spans {
+            if p.slot_task.len() != slots || p.slot_left.len() != slots {
+                return Err(SnapError::new("picos: span slot table shape mismatch"));
+            }
+        }
         Ok(())
+    }
+}
+
+impl Refs for Delivery {
+    fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError> {
+        match self {
+            Delivery::Trs(i, m) => bound("TRS", (*i).into(), cfg.num_trs).and(m.check(cfg)),
+            Delivery::DctNew(j, m) => bound("DCT", (*j).into(), cfg.num_dct).and(m.check(cfg)),
+            Delivery::DctFin(j, m) => bound("DCT", (*j).into(), cfg.num_dct).and(m.check(cfg)),
+            Delivery::Arb(m) => m.check(cfg),
+            Delivery::Ts(_, slot) => slot.check(cfg),
+            Delivery::ReadyOut(r) => r.check(cfg),
+            Delivery::Wake(rank) => {
+                let units = 4 + cfg.num_trs + 2 * cfg.num_dct;
+                bound("unit rank", *rank as usize, units)
+            }
+        }
+    }
+}
+
+impl<T: Copy + Refs> Refs for Fifo<T> {
+    fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError> {
+        self.buf[self.head..].check(cfg)
     }
 }
 
@@ -2192,5 +2032,39 @@ mod tests {
         let mut other = PicosSystem::new(PicosConfig::baseline(DmDesign::SixteenWay));
         let err = other.load_state(&doc).unwrap_err();
         assert!(err.message.contains("picos config"), "{err}");
+    }
+
+    #[test]
+    fn every_delivery_roundtrips() {
+        use crate::msg::{DepFinMsg, NewDepMsg};
+        let slot = SlotRef::new(1, 7);
+        let vm = crate::msg::VmRef::new(0, 3);
+        let all = [
+            Delivery::Trs(1, TrsMsg::Wake { slot, vm }),
+            Delivery::DctNew(
+                0,
+                NewDepMsg {
+                    slot,
+                    dep_idx: 2,
+                    dep: Dependence::output(0x80),
+                    conflict_counted: false,
+                    vm_stall_counted: true,
+                },
+            ),
+            Delivery::DctFin(0, DepFinMsg { vm, from: slot }),
+            Delivery::Arb(ArbMsg::ToTrs(1, TrsMsg::Finished { slot })),
+            Delivery::Arb(ArbMsg::ToDctFin(0, DepFinMsg { vm, from: slot })),
+            Delivery::Ts(TaskId::new(4), slot),
+            Delivery::ReadyOut(ReadyTask {
+                task: TaskId::new(5),
+                slot,
+                ready_at: 99,
+            }),
+            Delivery::Wake(6),
+        ];
+        for d in all {
+            assert_eq!(Delivery::load(&d.save()), Ok(d));
+        }
+        assert!(Delivery::load(&(7u8, 0u32).save()).is_err());
     }
 }

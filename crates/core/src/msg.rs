@@ -166,6 +166,42 @@ pub enum ArbMsg {
     ToDctFin(u8, DepFinMsg),
 }
 
+// ---------------------------------------------------------------- snapshots
+
+picos_trace::snap_struct!(NewTaskReq { task, deps });
+picos_trace::snap_struct!(FinishedReq { task, slot });
+picos_trace::snap_struct!(ReadyTask {
+    task,
+    slot,
+    ready_at
+});
+
+// The variant code is the explicit ready flag: folded into one
+// `Option<Option<SlotRef>>`, `Dependent { prev_consumer: None }` would
+// decode as `Ready`.
+picos_trace::snap_enum!(ResolveKind {
+    0 => Ready,
+    1 => Dependent { prev_consumer },
+});
+picos_trace::snap_enum!(TrsMsg {
+    0 => NewTask { slot, task, num_deps },
+    1 => Resolve { slot, dep_idx, vm, kind },
+    2 => Wake { slot, vm },
+    3 => Finished { slot },
+});
+picos_trace::snap_struct!(NewDepMsg {
+    slot,
+    dep_idx,
+    dep,
+    conflict_counted,
+    vm_stall_counted,
+});
+picos_trace::snap_struct!(DepFinMsg { vm, from });
+picos_trace::snap_enum!(ArbMsg {
+    0 => ToTrs(trs, msg),
+    1 => ToDctFin(dct, msg),
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;

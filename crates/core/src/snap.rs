@@ -1,240 +1,76 @@
-//! Shared snapshot codec helpers for the core types.
+//! Snapshot helpers shared by the core types: packed references, the
+//! sparse unit tables, the config fingerprint and the reference checks.
 //!
-//! The engine's message vocabulary is re-used verbatim inside wheel
-//! events, FIFO queues and the Arbiter, so their encodings live here once.
-//! References pack into single integers (`SlotRef` = `trs << 16 | entry`,
-//! `VmRef` = `dct << 16 | idx`, `DmSlot` = `set << 32 | way`) — snapshots
-//! stay compact and the per-field cost stays one [`Enc`]/[`Dec`] call.
+//! Each core type's [`Snap`] encoding lives next to its definition, except
+//! the references, which pack into single integers here (`SlotRef` =
+//! `trs << 16 | entry`, `VmRef` = `dct << 16 | idx`, `DmSlot` =
+//! `set << 32 | way`), so snapshots stay compact. A decoded reference fits its field but may
+//! still name a unit or entry the restoring configuration does not have;
+//! [`Refs`] checks every one after a load, so a corrupted snapshot fails
+//! with a [`SnapError`] instead of panicking later inside a unit.
 
 use crate::config::PicosConfig;
-use crate::msg::{ArbMsg, DepFinMsg, NewDepMsg, ResolveKind, SlotRef, TrsMsg, VmRef};
-use crate::stats::Stats;
+use crate::msg::{
+    ArbMsg, DepFinMsg, FinishedReq, NewDepMsg, ReadyTask, ResolveKind, SlotRef, TrsMsg, VmRef,
+};
 use crate::DmSlot;
-use picos_trace::snap::{Dec, Enc, SnapError};
-use picos_trace::{Dependence, Direction, TaskId, Value};
+use picos_trace::snap::{fingerprint, Snap, SnapError};
+use picos_trace::{TaskId, Value};
 
-pub(crate) fn slot_pack(s: SlotRef) -> u64 {
-    (s.trs as u64) << 16 | s.entry as u64
-}
+/// Implements [`Snap`] for two-field references packed into one integer,
+/// `hi << shift | lo`; decoding rejects a part that does not fit its field.
+macro_rules! packed {
+    ($($ty:ident { $hi:ident, $lo:ident } << $shift:literal;)+) => {$(
+        impl Snap for $ty {
+            fn save(&self) -> Value {
+                Value::Int((self.$hi as u64) << $shift | self.$lo as u64)
+            }
 
-pub(crate) fn slot_unpack(v: u64) -> SlotRef {
-    SlotRef::new((v >> 16) as u8, (v & 0xFFFF) as u16)
-}
-
-pub(crate) fn vm_pack(r: VmRef) -> u64 {
-    (r.dct as u64) << 16 | r.idx as u64
-}
-
-pub(crate) fn vm_unpack(v: u64) -> VmRef {
-    VmRef::new((v >> 16) as u8, (v & 0xFFFF) as u16)
-}
-
-pub(crate) fn dm_slot_pack(s: DmSlot) -> u64 {
-    (s.set as u64) << 32 | s.way as u64
-}
-
-pub(crate) fn dm_slot_unpack(v: u64) -> DmSlot {
-    DmSlot {
-        set: (v >> 32) as usize,
-        way: (v & 0xFFFF_FFFF) as usize,
-    }
-}
-
-pub(crate) fn dir_code(d: Direction) -> u64 {
-    match d {
-        Direction::In => 0,
-        Direction::Out => 1,
-        Direction::InOut => 2,
-    }
-}
-
-pub(crate) fn dir_from(code: u64) -> Result<Direction, SnapError> {
-    Ok(match code {
-        0 => Direction::In,
-        1 => Direction::Out,
-        2 => Direction::InOut,
-        other => return Err(SnapError::new(format!("unknown direction {other}"))),
-    })
-}
-
-/// A dependence packs into `(addr, dir)` slots within the current record.
-pub(crate) fn enc_dep(e: &mut Enc, d: Dependence) {
-    e.u64(d.addr).u64(dir_code(d.dir));
-}
-
-pub(crate) fn dec_dep(d: &mut Dec<'_>) -> Result<Dependence, SnapError> {
-    let addr = d.u64()?;
-    let dir = dir_from(d.u64()?)?;
-    Ok(Dependence::new(addr, dir))
-}
-
-/// A TRS message: one variant code, then that variant's fields.
-pub(crate) fn enc_trs_msg(e: &mut Enc, m: &TrsMsg) {
-    match *m {
-        TrsMsg::NewTask {
-            slot,
-            task,
-            num_deps,
-        } => {
-            e.u64(0)
-                .u64(slot_pack(slot))
-                .u32(task.raw())
-                .u64(num_deps as u64);
-        }
-        TrsMsg::Resolve {
-            slot,
-            dep_idx,
-            vm,
-            kind,
-        } => {
-            e.u64(1)
-                .u64(slot_pack(slot))
-                .u64(dep_idx as u64)
-                .u64(vm_pack(vm));
-            match kind {
-                ResolveKind::Ready => {
-                    e.bool(true).opt_u64(None);
-                }
-                ResolveKind::Dependent { prev_consumer } => {
-                    e.bool(false).opt_u64(prev_consumer.map(slot_pack));
-                }
+            fn load(v: &Value) -> Result<Self, SnapError> {
+                let n = u64::load(v)?;
+                Ok($ty {
+                    $hi: Snap::load(&Value::Int(n >> $shift))?,
+                    $lo: Snap::load(&Value::Int(n & ((1 << $shift) - 1)))?,
+                })
             }
         }
-        TrsMsg::Wake { slot, vm } => {
-            e.u64(2).u64(slot_pack(slot)).u64(vm_pack(vm));
-        }
-        TrsMsg::Finished { slot } => {
-            e.u64(3).u64(slot_pack(slot));
-        }
+    )+};
+}
+
+packed! {
+    SlotRef { trs, entry } << 16;
+    VmRef { dct, idx } << 16;
+    DmSlot { set, way } << 32;
+}
+
+/// Encodes a slab of `Option` entries as `[index, entry]` pairs of its
+/// live entries.
+pub(crate) fn save_sparse<T: Snap>(entries: &[Option<T>]) -> Value {
+    Value::Arr(
+        entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| e.as_ref().map(|e| Value::Arr(vec![i.save(), e.save()])))
+            .collect(),
+    )
+}
+
+/// Overwrites a slab from [`save_sparse`] output: every entry not listed
+/// becomes free.
+pub(crate) fn load_sparse<T: Snap>(
+    entries: &mut [Option<T>],
+    v: &Value,
+    what: &str,
+) -> Result<(), SnapError> {
+    let live: Vec<(usize, T)> = Snap::load(v)?;
+    entries.iter_mut().for_each(|e| *e = None);
+    for (i, e) in live {
+        *entries
+            .get_mut(i)
+            .ok_or_else(|| SnapError::new(format!("{what}: live index {i} out of range")))? =
+            Some(e);
     }
-}
-
-pub(crate) fn dec_trs_msg(d: &mut Dec<'_>) -> Result<TrsMsg, SnapError> {
-    Ok(match d.u64()? {
-        0 => TrsMsg::NewTask {
-            slot: slot_unpack(d.u64()?),
-            task: TaskId::new(d.u32()?),
-            num_deps: d.u64()? as u8,
-        },
-        1 => {
-            let slot = slot_unpack(d.u64()?);
-            let dep_idx = d.u64()? as u8;
-            let vm = vm_unpack(d.u64()?);
-            let ready = d.bool()?;
-            let prev = d.opt_u64()?.map(slot_unpack);
-            TrsMsg::Resolve {
-                slot,
-                dep_idx,
-                vm,
-                kind: if ready {
-                    ResolveKind::Ready
-                } else {
-                    ResolveKind::Dependent {
-                        prev_consumer: prev,
-                    }
-                },
-            }
-        }
-        2 => TrsMsg::Wake {
-            slot: slot_unpack(d.u64()?),
-            vm: vm_unpack(d.u64()?),
-        },
-        3 => TrsMsg::Finished {
-            slot: slot_unpack(d.u64()?),
-        },
-        other => return Err(SnapError::new(format!("unknown TrsMsg kind {other}"))),
-    })
-}
-
-pub(crate) fn enc_new_dep(e: &mut Enc, m: &NewDepMsg) {
-    e.u64(slot_pack(m.slot)).u64(m.dep_idx as u64);
-    enc_dep(e, m.dep);
-    e.bool(m.conflict_counted).bool(m.vm_stall_counted);
-}
-
-pub(crate) fn dec_new_dep(d: &mut Dec<'_>) -> Result<NewDepMsg, SnapError> {
-    Ok(NewDepMsg {
-        slot: slot_unpack(d.u64()?),
-        dep_idx: d.u64()? as u8,
-        dep: dec_dep(d)?,
-        conflict_counted: d.bool()?,
-        vm_stall_counted: d.bool()?,
-    })
-}
-
-pub(crate) fn enc_dep_fin(e: &mut Enc, m: DepFinMsg) {
-    e.u64(vm_pack(m.vm)).u64(slot_pack(m.from));
-}
-
-pub(crate) fn dec_dep_fin(d: &mut Dec<'_>) -> Result<DepFinMsg, SnapError> {
-    Ok(DepFinMsg {
-        vm: vm_unpack(d.u64()?),
-        from: slot_unpack(d.u64()?),
-    })
-}
-
-pub(crate) fn enc_arb_msg(e: &mut Enc, m: &ArbMsg) {
-    match m {
-        ArbMsg::ToTrs(trs, inner) => {
-            e.u64(0).u64(*trs as u64);
-            enc_trs_msg(e, inner);
-        }
-        ArbMsg::ToDctFin(dct, inner) => {
-            e.u64(1).u64(*dct as u64);
-            enc_dep_fin(e, *inner);
-        }
-    }
-}
-
-pub(crate) fn dec_arb_msg(d: &mut Dec<'_>) -> Result<ArbMsg, SnapError> {
-    Ok(match d.u64()? {
-        0 => {
-            let trs = d.u64()? as u8;
-            ArbMsg::ToTrs(trs, dec_trs_msg(d)?)
-        }
-        1 => {
-            let dct = d.u64()? as u8;
-            ArbMsg::ToDctFin(dct, dec_dep_fin(d)?)
-        }
-        other => return Err(SnapError::new(format!("unknown ArbMsg kind {other}"))),
-    })
-}
-
-impl Stats {
-    /// Serializes every counter in [`Stats::FIELDS`] order plus the two
-    /// histograms.
-    pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64s(Self::FIELDS.iter().map(|(_, _, get, _)| get(self)))
-            .u64s(self.dm_chain_hist.iter().copied())
-            .u64s(self.trs_wake_hist.iter().copied());
-        e.done()
-    }
-
-    /// Rebuilds stats serialized by [`Stats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a malformed record.
-    pub fn load_state(v: &Value) -> Result<Stats, SnapError> {
-        let mut d = Dec::new(v, "stats")?;
-        let fields = d.u64s()?;
-        if fields.len() != Self::FIELDS.len() {
-            return Err(SnapError::new("stats: field count mismatch"));
-        }
-        let mut s = Stats::default();
-        for ((_, _, _, set), v) in Self::FIELDS.iter().zip(fields) {
-            set(&mut s, v);
-        }
-        let dm = d.u64s()?;
-        let wake = d.u64s()?;
-        if dm.len() != s.dm_chain_hist.len() || wake.len() != s.trs_wake_hist.len() {
-            return Err(SnapError::new("stats: histogram shape mismatch"));
-        }
-        s.dm_chain_hist.copy_from_slice(&dm);
-        s.trs_wake_hist.copy_from_slice(&wake);
-        Ok(s)
-    }
+    Ok(())
 }
 
 /// One fingerprint over every behaviour-relevant configuration field.
@@ -243,27 +79,22 @@ impl Stats {
 /// never silent corruption.
 pub(crate) fn config_fingerprint(cfg: &PicosConfig) -> u64 {
     let t = &cfg.timing;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    mix(match cfg.dm_design {
-        crate::DmDesign::EightWay => 1,
-        crate::DmDesign::SixteenWay => 2,
-        crate::DmDesign::PearsonEightWay => 3,
-    });
-    mix(cfg.dm_sets as u64);
-    mix(cfg.num_trs as u64);
-    mix(cfg.num_dct as u64);
-    mix(cfg.tm_entries as u64);
-    mix(cfg.vm_entries as u64);
-    mix(cfg.max_deps_per_task as u64);
-    mix(match cfg.ts_policy {
-        crate::TsPolicy::Fifo => 1,
-        crate::TsPolicy::Lifo => 2,
-    });
-    for v in [
+    fingerprint([
+        match cfg.dm_design {
+            crate::DmDesign::EightWay => 1,
+            crate::DmDesign::SixteenWay => 2,
+            crate::DmDesign::PearsonEightWay => 3,
+        },
+        cfg.dm_sets as u64,
+        cfg.num_trs as u64,
+        cfg.num_dct as u64,
+        cfg.tm_entries as u64,
+        cfg.vm_entries as u64,
+        cfg.max_deps_per_task as u64,
+        match cfg.ts_policy {
+            crate::TsPolicy::Fifo => 1,
+            crate::TsPolicy::Lifo => 2,
+        },
         t.wire,
         t.gw_task,
         t.gw_dep,
@@ -278,24 +109,145 @@ pub(crate) fn config_fingerprint(cfg: &PicosConfig) -> u64 {
         t.dct_fin,
         t.arb,
         t.ts,
-    ] {
-        mix(v);
+    ])
+}
+
+/// Rejects index `i` of a table of `n`.
+pub(crate) fn bound(what: &str, i: usize, n: usize) -> Result<(), SnapError> {
+    if i < n {
+        Ok(())
+    } else {
+        Err(SnapError::new(format!("{what} {i} out of range (< {n})")))
     }
-    h
+}
+
+impl PicosConfig {
+    /// Checks that a decoded TM slot reference names a slot of this
+    /// configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapError`] when the TRS or the TM entry is out of range.
+    pub fn check_slot(&self, s: SlotRef) -> Result<(), SnapError> {
+        bound("TRS", s.trs.into(), self.num_trs)?;
+        bound("TM entry", s.entry.into(), self.tm_entries)
+    }
+}
+
+/// The unit and table references a decoded value holds, checked against
+/// the restoring configuration.
+pub(crate) trait Refs {
+    fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError>;
+}
+
+/// Implements [`Refs`] for a struct by checking the listed fields.
+macro_rules! refs {
+    ($($ty:ty: $($f:tt),+;)+) => {$(
+        impl $crate::snap::Refs for $ty {
+            fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError> {
+                $($crate::snap::Refs::check(&self.$f, cfg)?;)+
+                Ok(())
+            }
+        }
+    )+};
+}
+pub(crate) use refs;
+
+refs! {
+    NewDepMsg: slot;
+    DepFinMsg: vm, from;
+    ReadyTask: slot;
+    FinishedReq: slot;
+    (TaskId, SlotRef): 1;
+    (SlotRef, VmRef): 0, 1;
+}
+
+impl Refs for SlotRef {
+    fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError> {
+        cfg.check_slot(*self)
+    }
+}
+
+impl Refs for VmRef {
+    fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError> {
+        bound("DCT", self.dct.into(), cfg.num_dct)?;
+        bound("VM entry", self.idx.into(), cfg.vm_entries)
+    }
+}
+
+impl Refs for DmSlot {
+    fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError> {
+        bound("DM set", self.set, cfg.dm_sets)?;
+        bound("DM way", self.way, cfg.dm_design.ways())
+    }
+}
+
+impl<T: Refs> Refs for Option<T> {
+    fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError> {
+        self.as_ref().map_or(Ok(()), |t| t.check(cfg))
+    }
+}
+
+impl<T: Refs> Refs for Vec<T> {
+    fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError> {
+        self.as_slice().check(cfg)
+    }
+}
+
+impl<T: Refs> Refs for [T] {
+    fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError> {
+        self.iter().try_for_each(|t| t.check(cfg))
+    }
+}
+
+impl Refs for TrsMsg {
+    fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError> {
+        match *self {
+            TrsMsg::NewTask { slot, .. } | TrsMsg::Finished { slot } => slot.check(cfg),
+            TrsMsg::Resolve { slot, vm, kind, .. } => {
+                if let ResolveKind::Dependent { prev_consumer } = kind {
+                    prev_consumer.check(cfg)?;
+                }
+                (slot, vm).check(cfg)
+            }
+            TrsMsg::Wake { slot, vm } => (slot, vm).check(cfg),
+        }
+    }
+}
+
+impl Refs for ArbMsg {
+    fn check(&self, cfg: &PicosConfig) -> Result<(), SnapError> {
+        match self {
+            ArbMsg::ToTrs(i, m) => bound("TRS", (*i).into(), cfg.num_trs).and(m.check(cfg)),
+            ArbMsg::ToDctFin(j, m) => bound("DCT", (*j).into(), cfg.num_dct).and(m.check(cfg)),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picos_trace::snap::value_to_json;
+
+    fn roundtrip<T: Snap + PartialEq + std::fmt::Debug>(t: T) {
+        let text = value_to_json(&t.save());
+        let v = picos_trace::snap::value_from_json(&text).unwrap();
+        assert_eq!(T::load(&v).unwrap(), t);
+    }
 
     #[test]
     fn refs_pack_roundtrip() {
-        let s = SlotRef::new(3, 65535);
-        assert_eq!(slot_unpack(slot_pack(s)), s);
-        let v = VmRef::new(255, 1);
-        assert_eq!(vm_unpack(vm_pack(v)), v);
-        let d = DmSlot { set: 63, way: 15 };
-        assert_eq!(dm_slot_unpack(dm_slot_pack(d)), d);
+        roundtrip(SlotRef::new(3, 65535));
+        roundtrip(VmRef::new(255, 1));
+        roundtrip(DmSlot { set: 63, way: 15 });
+        assert!(
+            SlotRef::load(&Value::Int(256 << 16)).is_err(),
+            "trs overflows u8"
+        );
+        assert!(
+            VmRef::load(&Value::Int(1 << 24)).is_err(),
+            "dct overflows u8"
+        );
     }
 
     #[test]
@@ -317,6 +269,14 @@ mod tests {
                 dep_idx: 1,
                 vm: VmRef::new(0, 4),
                 kind: ResolveKind::Dependent {
+                    prev_consumer: None,
+                },
+            },
+            TrsMsg::Resolve {
+                slot: SlotRef::new(1, 2),
+                dep_idx: 1,
+                vm: VmRef::new(0, 4),
+                kind: ResolveKind::Dependent {
                     prev_consumer: Some(SlotRef::new(0, 3)),
                 },
             },
@@ -329,25 +289,26 @@ mod tests {
             },
         ];
         for m in msgs {
-            let mut e = Enc::new();
-            enc_trs_msg(&mut e, &m);
-            let v = e.done();
-            let mut d = Dec::new(&v, "t").unwrap();
-            assert_eq!(dec_trs_msg(&mut d).unwrap(), m);
+            roundtrip(m);
         }
     }
 
     #[test]
-    fn stats_roundtrip() {
-        let mut s = Stats {
-            tasks_submitted: 11,
-            peak_ready: 4,
-            ..Stats::default()
-        };
-        s.dm_chain_hist[2] = 9;
-        s.trs_wake_hist[7] = 1;
-        let back = Stats::load_state(&s.save_state()).unwrap();
-        assert_eq!(back, s);
+    fn refs_are_checked_against_the_config() {
+        let cfg = PicosConfig::balanced();
+        assert!(SlotRef::new(0, 0).check(&cfg).is_ok());
+        assert!(SlotRef::new(cfg.num_trs as u8, 0).check(&cfg).is_err());
+        assert!(VmRef::new(200, 0).check(&cfg).is_err());
+        let way = cfg.dm_design.ways();
+        assert!(DmSlot { set: 0, way }.check(&cfg).is_err());
+        let m = ArbMsg::ToDctFin(
+            0,
+            DepFinMsg {
+                vm: VmRef::new(0, cfg.vm_entries as u16),
+                from: SlotRef::new(0, 0),
+            },
+        );
+        assert!(m.check(&cfg).is_err());
     }
 
     #[test]

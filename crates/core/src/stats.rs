@@ -7,6 +7,8 @@
 //! never drift between the struct and the registry.
 
 use picos_metrics::{MergeRule, MetricSet};
+use picos_trace::snap::{Dec, Enc, Snap, SnapError};
+use picos_trace::Value;
 
 /// Inclusive bucket bounds of the DM version-chain-length histogram
 /// (chain depth observed after each successful dependence registration).
@@ -72,10 +74,10 @@ pub struct Stats {
     /// Cycles DCT new-dependence queue heads spent blocked on a VM entry.
     pub dct_wait_vm: u64,
     /// DM version-chain depth per registration, bucketed by
-    /// [`DM_CHAIN_BOUNDS`] (+1 overflow bucket).
+    /// `DM_CHAIN_BOUNDS` (+1 overflow bucket).
     pub dm_chain_hist: [u64; DM_CHAIN_BOUNDS.len() + 1],
     /// TRS wake-to-ready latency per readied task, bucketed by
-    /// [`TRS_WAKE_BOUNDS`] (+1 overflow bucket).
+    /// `TRS_WAKE_BOUNDS` (+1 overflow bucket).
     pub trs_wake_hist: [u64; TRS_WAKE_BOUNDS.len() + 1],
 }
 
@@ -281,6 +283,35 @@ impl Stats {
     }
 }
 
+/// Every counter in [`Stats::FIELDS`] order, then the two histograms.
+impl Snap for Stats {
+    fn save(&self) -> Value {
+        let fields: Vec<u64> = Self::FIELDS
+            .iter()
+            .map(|(_, _, get, _)| get(self))
+            .collect();
+        Enc::new()
+            .put(&fields)
+            .put(&self.dm_chain_hist)
+            .put(&self.trs_wake_hist)
+            .done()
+    }
+
+    fn load(v: &Value) -> Result<Self, SnapError> {
+        let mut d = Dec::new(v, "stats")?;
+        let fields: Vec<u64> = d.table("stats field", Self::FIELDS.len())?;
+        let mut s = Stats {
+            dm_chain_hist: d.get()?,
+            trs_wake_hist: d.get()?,
+            ..Stats::default()
+        };
+        for ((_, _, _, set), v) in Self::FIELDS.iter().zip(fields) {
+            set(&mut s, v);
+        }
+        Ok(s)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,5 +419,18 @@ mod tests {
         assert_eq!(Stats::utilization(50, 100, 1), 0.5);
         assert_eq!(Stats::utilization(100, 100, 2), 0.5);
         assert_eq!(Stats::utilization(10, 0, 1), 0.0);
+    }
+
+    #[test]
+    fn stats_roundtrip() {
+        let mut s = Stats {
+            tasks_submitted: 11,
+            peak_ready: 4,
+            ..Stats::default()
+        };
+        s.dm_chain_hist[2] = 9;
+        s.trs_wake_hist[7] = 1;
+        let back = Stats::load(&s.save()).unwrap();
+        assert_eq!(back, s);
     }
 }

@@ -6,11 +6,13 @@
 //! F2/F3 steps of finished-task processing and the backwards consumer-chain
 //! wake-up of Section III-D.
 
-use crate::config::Timing;
+use crate::config::{PicosConfig, Timing};
 use crate::msg::{DepFinMsg, ResolveKind, SlotRef, TrsMsg, VmRef};
+use crate::snap::refs;
 use crate::tm::{Tm, TmDep};
 use crate::Cycle;
-use picos_trace::TaskId;
+use picos_trace::snap::{Dec, Enc, SnapError};
+use picos_trace::{TaskId, Value};
 
 /// Packets a TRS emits while handling one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,37 +96,31 @@ impl Trs {
 
     /// Serializes the dynamic state: the Task Memory, held early wakes and
     /// the instance counters.
-    pub fn save_state(&self) -> picos_trace::Value {
-        use crate::snap::{slot_pack, vm_pack};
-        use picos_trace::snap::Enc;
-        let mut e = Enc::new();
-        e.u64(self.id as u64)
+    pub fn save_state(&self) -> Value {
+        Enc::new()
+            .put(&self.id)
             .val(self.tm.save_state())
-            .seq(&self.pending_wakes, |e, (slot, vm)| {
-                e.u64(slot_pack(*slot)).u64(vm_pack(*vm));
-            })
-            .u64(self.tasks_dispatched)
-            .u64(self.wakes_forwarded)
-            .u64(self.early_wakes);
-        e.done()
+            .put(&self.pending_wakes)
+            .put(&self.tasks_dispatched)
+            .put(&self.wakes_forwarded)
+            .put(&self.early_wakes)
+            .done()
     }
 
     /// Overwrites the dynamic state from [`Trs::save_state`] output.
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or an
-    /// instance mismatch.
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use crate::snap::{slot_unpack, vm_unpack};
-        use picos_trace::snap::{guard, Dec};
+    /// Returns [`SnapError`] on a malformed record or an instance
+    /// mismatch.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "trs")?;
-        guard("trs id", d.u64()?, self.id as u64)?;
+        d.expect("trs id", &self.id)?;
         self.tm.load_state(d.val()?)?;
-        self.pending_wakes = d.seq(|d| Ok((slot_unpack(d.u64()?), vm_unpack(d.u64()?))))?;
-        self.tasks_dispatched = d.u64()?;
-        self.wakes_forwarded = d.u64()?;
-        self.early_wakes = d.u64()?;
+        self.pending_wakes = d.get()?;
+        self.tasks_dispatched = d.get()?;
+        self.wakes_forwarded = d.get()?;
+        self.early_wakes = d.get()?;
         Ok(())
     }
 
@@ -245,6 +241,10 @@ impl Trs {
             }
         }
     }
+}
+
+refs! {
+    Trs: tm, pending_wakes;
 }
 
 #[cfg(test)]

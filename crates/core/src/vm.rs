@@ -8,8 +8,12 @@
 //! to the next version — everything Section III-D's dependence-chain example
 //! exercises.
 
+use crate::config::PicosConfig;
 use crate::dm::DmSlot;
 use crate::msg::{SlotRef, VmRef};
+use crate::snap::{load_sparse, refs, save_sparse};
+use picos_trace::snap::{Dec, Enc, SnapError};
+use picos_trace::Value;
 
 /// One live version of a dependence address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,77 +135,47 @@ impl Vm {
     }
 }
 
+picos_trace::snap_struct!(VmEntry {
+    producer,
+    producer_finished,
+    last_consumer,
+    consumers_total,
+    consumers_finished,
+    next,
+    dm_slot,
+});
+
 impl Vm {
     /// Serializes the dynamic state: the free stack (exact order), the
     /// counters and every live version.
-    pub fn save_state(&self) -> picos_trace::Value {
-        use crate::snap::{dm_slot_pack, slot_pack, vm_pack};
-        use picos_trace::snap::Enc;
-        let live = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (i, e)));
-        let mut e = Enc::new();
-        e.usize(self.entries.len())
-            .u64s(self.free.iter().map(|&i| i as u64))
-            .u64(self.stalls)
-            .usize(self.peak_live)
-            .seq(live, |e, (idx, ent)| {
-                e.usize(idx)
-                    .opt_u64(ent.producer.map(slot_pack))
-                    .bool(ent.producer_finished)
-                    .opt_u64(ent.last_consumer.map(slot_pack))
-                    .u32(ent.consumers_total)
-                    .u32(ent.consumers_finished)
-                    .opt_u64(ent.next.map(vm_pack))
-                    .u64(dm_slot_pack(ent.dm_slot));
-            });
-        e.done()
+    pub fn save_state(&self) -> Value {
+        Enc::new()
+            .put(&self.entries.len())
+            .put(&self.free)
+            .put(&self.stalls)
+            .put(&self.peak_live)
+            .val(save_sparse(&self.entries))
+            .done()
     }
 
     /// Overwrites the dynamic state from [`Vm::save_state`] output.
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or a
-    /// capacity mismatch.
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use crate::snap::{dm_slot_unpack, slot_unpack, vm_unpack};
-        use picos_trace::snap::{guard, Dec};
+    /// Returns [`SnapError`] on a malformed record or a capacity mismatch.
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "vm")?;
-        guard("vm capacity", d.u64()?, self.entries.len() as u64)?;
-        let free = d.u64s()?;
-        let stalls = d.u64()?;
-        let peak_live = d.usize()?;
-        let live = d.seq(|d| {
-            let idx = d.usize()?;
-            Ok((
-                idx,
-                VmEntry {
-                    producer: d.opt_u64()?.map(slot_unpack),
-                    producer_finished: d.bool()?,
-                    last_consumer: d.opt_u64()?.map(slot_unpack),
-                    consumers_total: d.u32()?,
-                    consumers_finished: d.u32()?,
-                    next: d.opt_u64()?.map(vm_unpack),
-                    dm_slot: dm_slot_unpack(d.u64()?),
-                },
-            ))
-        })?;
-        self.entries.iter_mut().for_each(|e| *e = None);
-        self.free = free.into_iter().map(|v| v as u16).collect();
-        self.stalls = stalls;
-        self.peak_live = peak_live;
-        for (idx, ent) in live {
-            let slot = self
-                .entries
-                .get_mut(idx)
-                .ok_or_else(|| picos_trace::SnapError::new("vm: live index out of range"))?;
-            *slot = Some(ent);
-        }
-        Ok(())
+        d.expect("vm capacity", &self.entries.len())?;
+        self.free = d.get()?;
+        self.stalls = d.get()?;
+        self.peak_live = d.get()?;
+        load_sparse(&mut self.entries, d.val()?, "vm")
     }
+}
+
+refs! {
+    VmEntry: producer, last_consumer, next, dm_slot;
+    Vm: entries;
 }
 
 #[cfg(test)]

@@ -32,6 +32,13 @@ pub struct LinkModel {
     pub width: usize,
 }
 
+picos_trace::snap_struct!(LinkModel {
+    occupancy,
+    latency,
+    setup,
+    width
+});
+
 impl LinkModel {
     /// Number of flits a message of `words` payload words occupies.
     pub fn flits(&self, words: usize) -> u64 {

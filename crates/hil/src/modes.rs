@@ -25,7 +25,7 @@ use picos_runtime::session::{
     Admission, EventLog, EventLoopCore, Ingest, ScheduleLog, SessionConfig, SessionCore, SimEvent,
 };
 use picos_runtime::ExecReport;
-use picos_trace::snap::{Dec, Enc, SnapError};
+use picos_trace::snap::{fingerprint, Dec, Enc, SnapError};
 use picos_trace::{Dependence, TaskDescriptor, TaskId, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -110,29 +110,27 @@ impl HilConfig {
 /// refuses to load into a differently-configured session (the Picos core's
 /// own config is guarded inside [`PicosSystem::load_state`]).
 fn hil_fingerprint(cfg: &HilConfig) -> u64 {
-    fn mix(h: u64, v: u64) -> u64 {
-        (h ^ v).wrapping_mul(0x100_0000_01b3)
-    }
     let c = &cfg.cost;
-    let mut h = [
-        cfg.workers as u64,
-        c.dispatch,
-        c.axi_occupancy,
-        c.axi_latency,
-        c.axi_setup,
-        c.sr_queue as u64,
-        c.arm_startup,
-        c.arm_create,
-        c.arm_submit_base,
-        c.arm_submit_per_dep,
-        c.arm_retrieve,
-        c.arm_dispatch,
-        c.arm_finish,
-    ]
-    .into_iter()
-    .fold(0xcbf2_9ce4_8422_2325, mix);
-    h = mix(h, cfg.worker_faults.len() as u64);
-    cfg.worker_faults.iter().fold(h, |h, &t| mix(h, t))
+    fingerprint(
+        [
+            cfg.workers as u64,
+            c.dispatch,
+            c.axi_occupancy,
+            c.axi_latency,
+            c.axi_setup,
+            c.sr_queue as u64,
+            c.arm_startup,
+            c.arm_create,
+            c.arm_submit_base,
+            c.arm_submit_per_dep,
+            c.arm_retrieve,
+            c.arm_dispatch,
+            c.arm_finish,
+            cfg.worker_faults.len() as u64,
+        ]
+        .into_iter()
+        .chain(cfg.worker_faults.iter().copied()),
+    )
 }
 
 /// Errors from a HIL run.
@@ -178,6 +176,8 @@ struct TaskMeta {
     dur: u64,
     deps: Arc<[Dependence]>,
 }
+
+picos_trace::snap_struct!(TaskMeta { dur, deps });
 
 /// A resumable HIL platform stepper: the Picos core, the worker pool and —
 /// depending on the [`HilMode`] — the AXI bus and the serial ARM core,
@@ -639,47 +639,30 @@ impl HilSession {
     /// [`HilSession::load_state`] overwrites an identically configured
     /// session with it; [`Clone`] is the in-memory fork.
     pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64(mode_code(self.mode))
-            .u64(hil_fingerprint(&self.cfg))
-            .bool(self.sampler.is_some())
-            .bool(self.spans.is_some())
+        Enc::new()
+            .put(&(self.mode as u8))
+            .put(&hil_fingerprint(&self.cfg))
+            .put(&self.sampler.is_some())
+            .put(&self.spans.is_some())
             .val(self.sys.save_state())
             .val(self.workers.save_state())
-            .val(match &self.bus {
-                Some(bus) => bus.save_state_with(enc_bus_msg),
-                None => Value::Null,
-            })
-            .seq(self.tasks.iter(), |e, m| {
-                e.u64(m.dur).seq(m.deps.iter(), |e, d| {
-                    e.u64(d.addr).u64(picos_runtime::snap::dir_code(d.dir));
-                });
-            })
-            .usize(self.next_feed)
-            .seq(self.finish_q.iter(), |e, &(task, slot)| {
-                e.u32(task).u64(slot_pack(slot));
-            })
-            .usize(self.newtasks_in_bus)
-            .usize(self.inflight_ready)
-            .u64(self.arm_free)
-            .u64(self.t)
-            .usize(self.fault_cursor)
-            .seq(self.restart_q.iter(), |e, &(task, slot, rerun)| {
-                e.u32(task).u64(slot_pack(slot)).bool(rerun);
-            })
-            .u64(self.recoveries)
+            .val(self.bus.as_ref().map_or(Value::Null, Bus::save_state))
+            .put(&self.tasks)
+            .put(&self.next_feed)
+            .put(&self.finish_q)
+            .put(&self.newtasks_in_bus)
+            .put(&self.inflight_ready)
+            .put(&self.arm_free)
+            .put(&self.t)
+            .put(&self.fault_cursor)
+            .put(&self.restart_q)
+            .put(&self.recoveries)
             .val(self.ingest.save_state())
             .val(self.log.save_state())
             .val(self.events.save_state())
-            .val(match &self.sampler {
-                Some(s) => s.save_state(),
-                None => Value::Null,
-            })
-            .val(match &self.spans {
-                Some(s) => s.save_state(),
-                None => Value::Null,
-            });
-        e.done()
+            .put(&self.sampler)
+            .put(&self.spans)
+            .done()
     }
 
     /// Overwrites this session's dynamic state with the state recorded by
@@ -688,125 +671,57 @@ impl HilSession {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] on a malformed record or when the snapshot
-    /// was taken under a different mode, platform configuration or
-    /// observation setup.
+    /// Returns [`SnapError`] on a malformed record, when the snapshot was
+    /// taken under a different mode, platform configuration or
+    /// observation setup, or when it holds a TM slot the configuration
+    /// does not have. The session must then be discarded.
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
-        use picos_trace::snap::guard;
         let mut d = Dec::new(v, "hil session")?;
-        guard("hil mode", d.u64()?, mode_code(self.mode))?;
-        guard("hil config", d.u64()?, hil_fingerprint(&self.cfg))?;
-        guard(
-            "hil sampler attached",
-            d.bool()? as u64,
-            self.sampler.is_some() as u64,
-        )?;
-        guard(
-            "hil spans attached",
-            d.bool()? as u64,
-            self.spans.is_some() as u64,
-        )?;
-        let sys = d.val()?;
-        let workers = d.val()?;
-        let bus = d.val()?;
-        let tasks = d.seq(|d| {
-            let dur = d.u64()?;
-            let deps: Vec<Dependence> = d.seq(|d| {
-                Ok(Dependence::new(
-                    d.u64()?,
-                    picos_runtime::snap::dir_from(d.u64()?)?,
-                ))
-            })?;
-            Ok(TaskMeta {
-                dur,
-                deps: deps.into(),
-            })
-        })?;
-        let next_feed = d.usize()?;
-        let finish_q: Vec<(u32, SlotRef)> = d.seq(|d| Ok((d.u32()?, slot_unpack(d.u64()?))))?;
-        let newtasks_in_bus = d.usize()?;
-        let inflight_ready = d.usize()?;
-        let arm_free = d.u64()?;
-        let t = d.u64()?;
-        let fault_cursor = d.usize()?;
-        let restart_q: Vec<(u32, SlotRef, bool)> =
-            d.seq(|d| Ok((d.u32()?, slot_unpack(d.u64()?), d.bool()?)))?;
-        if fault_cursor > self.faults.len() {
-            return Err(SnapError::new("hil session: fault cursor out of range"));
-        }
-        let recoveries = d.u64()?;
-        self.sys.load_state(sys)?;
-        self.workers.load_state(workers)?;
-        match (&mut self.bus, bus) {
+        d.expect("hil mode", &(self.mode as u8))?;
+        d.expect("hil config", &hil_fingerprint(&self.cfg))?;
+        d.expect("hil sampler attached", &self.sampler.is_some())?;
+        d.expect("hil spans attached", &self.spans.is_some())?;
+        self.sys.load_state(d.val()?)?;
+        self.workers.load_state(d.val()?)?;
+        match (&mut self.bus, d.val()?) {
             (None, Value::Null) => {}
-            (Some(link), v) => link.load_state_with(v, dec_bus_msg)?,
+            (Some(link), v) => link.load_state(v)?,
             (None, _) => return Err(SnapError::new("hil session: unexpected bus state")),
         }
+        self.tasks = d.get()?;
+        self.next_feed = d.get()?;
+        self.finish_q = d.get()?;
+        self.newtasks_in_bus = d.get()?;
+        self.inflight_ready = d.get()?;
+        self.arm_free = d.get()?;
+        self.t = d.get()?;
+        self.fault_cursor = d.get()?;
+        if self.fault_cursor > self.faults.len() {
+            return Err(SnapError::new("hil session: fault cursor out of range"));
+        }
+        self.restart_q = d.get()?;
+        self.recoveries = d.get()?;
         self.ingest.load_state(d.val()?)?;
         self.log.load_state(d.val()?)?;
         self.events.load_state(d.val()?)?;
-        self.sampler = match d.val()? {
-            Value::Null => None,
-            v => Some(WindowSampler::load_state(v)?),
-        };
-        self.spans = match d.val()? {
-            Value::Null => None,
-            v => Some(SpanLog::load_state(v)?),
-        };
-        self.tasks = tasks;
-        self.next_feed = next_feed;
-        self.finish_q = finish_q.into();
-        self.newtasks_in_bus = newtasks_in_bus;
-        self.inflight_ready = inflight_ready;
-        self.arm_free = arm_free;
-        self.t = t;
-        self.fault_cursor = fault_cursor;
-        self.restart_q = restart_q.into();
-        self.recoveries = recoveries;
-        Ok(())
+        self.sampler = d.get()?;
+        self.spans = d.get()?;
+        self.check_slots()
     }
-}
 
-/// Stable wire code of a [`HilMode`].
-fn mode_code(m: HilMode) -> u64 {
-    match m {
-        HilMode::HwOnly => 0,
-        HilMode::HwComm => 1,
-        HilMode::FullSystem => 2,
-    }
-}
-
-/// Packs a TM slot reference into one integer (`trs << 16 | entry`).
-fn slot_pack(s: SlotRef) -> u64 {
-    (s.trs as u64) << 16 | s.entry as u64
-}
-
-fn slot_unpack(v: u64) -> SlotRef {
-    SlotRef::new((v >> 16) as u8, (v & 0xFFFF) as u16)
-}
-
-/// Encodes one bus message (variant code first).
-fn enc_bus_msg(e: &mut Enc, m: &BusMsg) {
-    match *m {
-        BusMsg::NewTask(i) => {
-            e.u64(0).u32(i);
-        }
-        BusMsg::Ready(task, slot) => {
-            e.u64(1).u32(task).u64(slot_pack(slot));
-        }
-        BusMsg::Finish(task, slot) => {
-            e.u64(2).u32(task).u64(slot_pack(slot));
-        }
-    }
-}
-
-/// Decodes one bus message written by [`enc_bus_msg`].
-fn dec_bus_msg(d: &mut Dec) -> Result<BusMsg, SnapError> {
-    match d.u64()? {
-        0 => Ok(BusMsg::NewTask(d.u32()?)),
-        1 => Ok(BusMsg::Ready(d.u32()?, slot_unpack(d.u64()?))),
-        2 => Ok(BusMsg::Finish(d.u32()?, slot_unpack(d.u64()?))),
-        other => Err(SnapError::new(format!("unknown bus message code {other}"))),
+    /// Checks every TM slot the platform holds outside the core.
+    fn check_slots(&self) -> Result<(), SnapError> {
+        let bus = self.bus.iter().flat_map(Bus::messages);
+        let bus_slots = bus.filter_map(|m| match *m {
+            BusMsg::NewTask(_) => None,
+            BusMsg::Ready(_, slot) | BusMsg::Finish(_, slot) => Some(slot),
+        });
+        self.workers
+            .slots()
+            .chain(bus_slots)
+            .chain(self.finish_q.iter().map(|&(_, slot)| slot))
+            .chain(self.restart_q.iter().map(|&(_, slot, _)| slot))
+            .try_for_each(|slot| self.cfg.picos.check_slot(slot))
     }
 }
 
@@ -1235,5 +1150,60 @@ mod tests {
         .unwrap();
         let err = wrong_cfg.load_state(&snap).unwrap_err();
         assert!(err.to_string().contains("hil config"), "{err}");
+    }
+
+    /// The fields of an encoded record, for snapshot surgery.
+    fn fields(v: &mut Value) -> &mut Vec<Value> {
+        match v {
+            Value::Arr(items) => items,
+            other => panic!("not a record: {other:?}"),
+        }
+    }
+
+    /// A HwOnly session mid-run, its snapshot and a fresh restore target.
+    fn mid_run_snapshot() -> (Value, HilSession) {
+        let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
+        let cfg = HilConfig::balanced(4);
+        let scfg = SessionConfig::windowed(16);
+        let mut live = HilSession::new(HilMode::HwOnly, cfg.clone(), scfg).unwrap();
+        feed_range(&mut live, &tr, 0..9).unwrap();
+        live.advance_to(300);
+        let fresh = HilSession::new(HilMode::HwOnly, cfg, scfg).unwrap();
+        (live.save_state(), fresh)
+    }
+
+    #[test]
+    fn restore_rejects_a_vm_ref_outside_the_config() {
+        let (mut snap, mut fresh) = mid_run_snapshot();
+        // Session field 4 is the core, core field 16 its TRS table; a TRS
+        // holds its TM at field 1, the TM its live `[index, entry]` pairs
+        // at field 3, an entry its dependences at field 4, and a
+        // dependence its packed VmRef at field 1.
+        let mut rewritten = 0;
+        for trs in fields(&mut fields(&mut fields(&mut snap)[4])[16]) {
+            for live in fields(&mut fields(&mut fields(trs)[1])[3]) {
+                for dep in fields(&mut fields(&mut fields(live)[1])[4]) {
+                    fields(dep)[1] = Value::Int(200 << 16);
+                    rewritten += 1;
+                }
+            }
+        }
+        assert!(rewritten > 0, "the cut must hold registered dependences");
+        let err = fresh.load_state(&snap).unwrap_err();
+        assert!(err.to_string().contains("DCT 200"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_a_worker_slot_outside_the_config() {
+        let (mut snap, mut fresh) = mid_run_snapshot();
+        let num_trs = HilConfig::balanced(4).picos.num_trs as u64;
+        // Session field 5 is the worker pool, pool field 2 its running
+        // `[end, task, slot]` triples.
+        let first = fields(&mut fields(&mut fields(&mut snap)[5])[2])
+            .first_mut()
+            .expect("a task is running at the cut");
+        fields(first)[2] = Value::Int(num_trs << 16);
+        let err = fresh.load_state(&snap).unwrap_err();
+        assert!(err.to_string().contains("TRS"), "{err}");
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::cost::LinkModel;
 use picos_core::SlotRef;
-use picos_trace::snap::{Dec, Enc, SnapError};
+use picos_trace::snap::{Dec, Enc, Snap, SnapError};
 use picos_trace::Value;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -98,18 +98,11 @@ impl Workers {
     /// Serializes the pool (running tasks in ascending completion order,
     /// plus the live capacity — fail-stop faults shrink it).
     pub fn save_state(&self) -> Value {
-        let mut heap: Vec<(u64, u32, SlotRef)> = self.heap.iter().map(|r| r.0).collect();
-        heap.sort_unstable();
-        let mut e = Enc::new();
-        e.usize(self.total)
-            .usize(self.idle)
-            .seq(heap, |e, (end, task, slot)| {
-                e.u64(end)
-                    .u32(task)
-                    .u64(slot.trs as u64)
-                    .u64(slot.entry as u64);
-            });
-        e.done()
+        Enc::new()
+            .put(&self.total)
+            .put(&self.idle)
+            .put(&self.heap)
+            .done()
     }
 
     /// Overwrites the pool from [`Workers::save_state`] output.
@@ -120,22 +113,18 @@ impl Workers {
     /// occupancy (`running != total - idle`).
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "workers")?;
-        let total = d.usize()?;
-        let idle = d.usize()?;
-        let heap = d.seq(|d| {
-            Ok((
-                d.u64()?,
-                d.u32()?,
-                SlotRef::new(d.u64()? as u8, d.u64()? as u16),
-            ))
-        })?;
-        if idle > total || heap.len() != total - idle {
+        self.total = d.get()?;
+        self.idle = d.get()?;
+        self.heap = d.get()?;
+        if self.idle > self.total || self.heap.len() != self.total - self.idle {
             return Err(SnapError::new("workers: occupancy mismatch"));
         }
-        self.total = total;
-        self.idle = idle;
-        self.heap = heap.into_iter().map(Reverse).collect();
         Ok(())
+    }
+
+    /// The TM slots of the running tasks.
+    pub fn slots(&self) -> impl Iterator<Item = SlotRef> + '_ {
+        self.heap.iter().map(|Reverse((_, _, slot))| *slot)
     }
 }
 
@@ -149,6 +138,12 @@ pub(crate) enum BusMsg {
     /// A finished-task notification travelling to the Picos GW.
     Finish(u32, SlotRef),
 }
+
+picos_trace::snap_enum!(BusMsg {
+    0 => NewTask(task),
+    1 => Ready(task, slot),
+    2 => Finish(task, slot),
+});
 
 /// The HIL platform's AXI Stream bus.
 pub(crate) type Bus = Link<BusMsg>;
@@ -178,6 +173,8 @@ impl<T> Ord for LinkEv<T> {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
+
+picos_trace::snap_struct!(LinkEv<T> { at, seq, msg });
 
 /// A serializing link following a [`LinkModel`]: one message at a time,
 /// each occupying the link for its flit count times the model's occupancy
@@ -256,56 +253,36 @@ impl<T> Link<T> {
         self.deliveries.len()
     }
 
-    /// Serializes the link state (model as a restore guard, pending
-    /// deliveries in `(time, seq)` order), encoding each message with
-    /// `enc_msg`.
-    pub fn save_state_with(&self, enc_msg: impl Fn(&mut Enc, &T)) -> Value {
-        let mut evs: Vec<&LinkEv<T>> = self.deliveries.iter().map(|r| &r.0).collect();
-        evs.sort_unstable_by_key(|e| (e.at, e.seq));
-        let mut e = Enc::new();
-        e.u64(self.model.occupancy)
-            .u64(self.model.latency)
-            .u64(self.model.setup)
-            .usize(self.model.width)
-            .u64(self.free_at)
-            .u64(self.seq)
-            .seq(evs, |e, ev| {
-                e.u64(ev.at).u64(ev.seq);
-                enc_msg(e, &ev.msg);
-            });
-        e.done()
+    /// The messages in flight, in no particular order.
+    pub(crate) fn messages(&self) -> impl Iterator<Item = &T> {
+        self.deliveries.iter().map(|Reverse(e)| &e.msg)
+    }
+}
+
+impl<T: Snap> Link<T> {
+    /// Serializes the link state: the model as a restore guard and the
+    /// pending deliveries in `(time, seq)` order.
+    pub fn save_state(&self) -> Value {
+        Enc::new()
+            .put(&self.model)
+            .put(&self.free_at)
+            .put(&self.seq)
+            .put(&self.deliveries)
+            .done()
     }
 
-    /// Overwrites the link from [`Link::save_state_with`] output, decoding
-    /// each message with `dec_msg`.
+    /// Overwrites the link from [`Link::save_state`] output.
     ///
     /// # Errors
     ///
     /// Returns [`SnapError`] on a malformed record or when the snapshot was
     /// taken under a different [`LinkModel`].
-    pub fn load_state_with(
-        &mut self,
-        v: &Value,
-        dec_msg: impl Fn(&mut Dec) -> Result<T, SnapError>,
-    ) -> Result<(), SnapError> {
-        use picos_trace::snap::guard;
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "link")?;
-        guard("link occupancy", d.u64()?, self.model.occupancy)?;
-        guard("link latency", d.u64()?, self.model.latency)?;
-        guard("link setup", d.u64()?, self.model.setup)?;
-        guard("link width", d.usize()? as u64, self.model.width as u64)?;
-        let free_at = d.u64()?;
-        let seq = d.u64()?;
-        let evs = d.seq(|d| {
-            Ok(LinkEv {
-                at: d.u64()?,
-                seq: d.u64()?,
-                msg: dec_msg(d)?,
-            })
-        })?;
-        self.free_at = free_at;
-        self.seq = seq;
-        self.deliveries = evs.into_iter().map(Reverse).collect();
+        d.expect("link model", &self.model)?;
+        self.free_at = d.get()?;
+        self.seq = d.get()?;
+        self.deliveries = d.get()?;
         Ok(())
     }
 }
@@ -399,5 +376,17 @@ mod tests {
             got.push(m);
         }
         assert_eq!(got, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn bus_msg_roundtrip() {
+        let slot = SlotRef::new(0, 12);
+        for m in [
+            BusMsg::NewTask(3),
+            BusMsg::Ready(4, slot),
+            BusMsg::Finish(5, slot),
+        ] {
+            assert_eq!(BusMsg::load(&m.save()), Ok(m));
+        }
     }
 }

@@ -3,167 +3,82 @@
 //! Telemetry is part of a session's dynamic state: restore==continuous
 //! must hold for timelines and span logs too, so a mid-run snapshot
 //! carries every sample emitted so far *and* the sampler's cursor (next
-//! boundary, delta baselines). Encoding follows the positional
-//! [`Enc`]/[`Dec`] convention of `picos_trace::snap`.
+//! boundary, delta baselines). Each type implements
+//! [`picos_trace::snap::Snap`]; the span types' impls live in
+//! [`crate::span`].
 
-use crate::span::{SpanEvent, SpanKind, SpanLog};
 use crate::{SeriesKind, SeriesSpec, Timeline, WindowSampler};
-use picos_trace::snap::{Dec, Enc, SnapError};
+use picos_trace::snap::{Dec, Enc, Snap, SnapError};
 use picos_trace::Value;
 
-impl Timeline {
-    /// Serializes the full timeline (series specs and all samples).
-    pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64(self.window)
-            .seq(&self.series, |e, s| {
-                e.str(&s.name).bool(s.kind == SeriesKind::Delta);
-            })
-            .u64s(self.starts.iter().copied())
-            .u64s(self.ends.iter().copied())
-            .u64s(self.values.iter().copied());
-        e.done()
+picos_trace::snap_enum!(SeriesKind {
+    0 => Gauge,
+    1 => Delta,
+});
+picos_trace::snap_struct!(SeriesSpec { name, kind });
+
+/// The full timeline: series specs and all samples.
+impl Snap for Timeline {
+    fn save(&self) -> Value {
+        Enc::new()
+            .put(&self.window)
+            .put(&self.series)
+            .put(&self.starts)
+            .put(&self.ends)
+            .put(&self.values)
+            .done()
     }
 
-    /// Rebuilds a timeline serialized by [`Timeline::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a malformed record.
-    pub fn load_state(v: &Value) -> Result<Timeline, SnapError> {
+    fn load(v: &Value) -> Result<Self, SnapError> {
         let mut d = Dec::new(v, "timeline")?;
-        let window = d.u64()?;
-        let series = d.seq(|d| {
-            let name = d.str()?.to_string();
-            let delta = d.bool()?;
-            Ok(SeriesSpec {
-                name,
-                kind: if delta {
-                    SeriesKind::Delta
-                } else {
-                    SeriesKind::Gauge
-                },
-            })
-        })?;
-        let starts = d.u64s()?;
-        let ends = d.u64s()?;
-        let values = d.u64s()?;
-        if window == 0 {
+        let tl = Timeline {
+            window: d.get()?,
+            series: d.get()?,
+            starts: d.get()?,
+            ends: d.get()?,
+            values: d.get()?,
+        };
+        if tl.window == 0 {
             return Err(SnapError::new("timeline: zero window"));
         }
-        if starts.len() != ends.len() || values.len() != starts.len() * series.len() {
+        if tl.starts.len() != tl.ends.len() || tl.values.len() != tl.starts.len() * tl.series.len()
+        {
             return Err(SnapError::new("timeline: sample table shape mismatch"));
         }
-        Ok(Timeline {
-            window,
-            series,
-            starts,
-            ends,
-            values,
-        })
+        Ok(tl)
     }
 }
 
-impl WindowSampler {
-    /// Serializes the sampler mid-run: the samples emitted so far plus the
-    /// cursor state a continuation needs (next boundary, delta baselines).
-    pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64(self.next)
-            .val(self.timeline.save_state())
-            .u64s(self.last.iter().copied());
-        e.done()
+/// The sampler mid-run: the samples emitted so far plus the cursor state
+/// a continuation needs (next boundary, delta baselines).
+impl Snap for WindowSampler {
+    fn save(&self) -> Value {
+        Enc::new()
+            .put(&self.next)
+            .put(&self.timeline)
+            .put(&self.last)
+            .done()
     }
 
-    /// Rebuilds a sampler serialized by [`WindowSampler::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a malformed record.
-    pub fn load_state(v: &Value) -> Result<WindowSampler, SnapError> {
+    fn load(v: &Value) -> Result<Self, SnapError> {
         let mut d = Dec::new(v, "sampler")?;
-        let next = d.u64()?;
-        let timeline = Timeline::load_state(d.val()?)?;
-        let last = d.u64s()?;
+        let next = d.get()?;
+        let timeline: Timeline = d.get()?;
         let n = timeline.series.len();
-        if last.len() != n {
-            return Err(SnapError::new("sampler: delta baseline shape mismatch"));
-        }
         Ok(WindowSampler {
             window: timeline.window,
             next,
+            last: d.table("delta baseline", n)?,
             timeline,
-            last,
             scratch: vec![0; n],
             row: vec![0; n],
         })
     }
 }
 
-impl SpanLog {
-    /// Serializes the recorded events.
-    pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.seq(self.events(), |e, ev| {
-            e.u64(ev.at)
-                .u64(ev.kind as u8 as u64)
-                .u64(ev.shard as u64)
-                .u32(ev.task)
-                .u32(ev.arg);
-        });
-        e.done()
-    }
-
-    /// Rebuilds a log serialized by [`SpanLog::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a malformed record or unknown event kind.
-    pub fn load_state(v: &Value) -> Result<SpanLog, SnapError> {
-        let mut d = Dec::new(v, "spans")?;
-        let events = d.seq(|d| {
-            let at = d.u64()?;
-            let kind = span_kind(d.u64()?)?;
-            let shard = d.u16()?;
-            let task = d.u32()?;
-            let arg = d.u32()?;
-            Ok(SpanEvent {
-                at,
-                kind,
-                shard,
-                task,
-                arg,
-            })
-        })?;
-        let mut log = SpanLog::with_capacity(events.len());
-        for ev in events {
-            log.record(ev.kind, ev.at, ev.shard, ev.task, ev.arg);
-        }
-        Ok(log)
-    }
-}
-
-fn span_kind(code: u64) -> Result<SpanKind, SnapError> {
-    Ok(match code {
-        0 => SpanKind::Submitted,
-        1 => SpanKind::DepsRegistered,
-        2 => SpanKind::LastDepReleased,
-        3 => SpanKind::Ready,
-        4 => SpanKind::Dispatched,
-        5 => SpanKind::Started,
-        6 => SpanKind::Finished,
-        7 => SpanKind::MsgSend,
-        8 => SpanKind::MsgDeliver,
-        9 => SpanKind::MsgRetry,
-        10 => SpanKind::Fault,
-        other => return Err(SnapError::new(format!("spans: unknown kind {other}"))),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SeriesSpec;
 
     #[test]
     fn sampler_roundtrip_continues_identically() {
@@ -174,7 +89,7 @@ mod tests {
             v[1] = 17;
         });
 
-        let mut b = WindowSampler::load_state(&a.save_state()).unwrap();
+        let mut b = WindowSampler::load(&a.save()).unwrap();
         // Drive both through the same tail; the finished timelines must be
         // bit-equal (restore==continuous for telemetry).
         let drive = |s: &mut WindowSampler| {
@@ -198,23 +113,14 @@ mod tests {
     }
 
     #[test]
-    fn span_log_roundtrips() {
-        let mut log = SpanLog::new();
-        log.record(SpanKind::Submitted, 0, 1, 7, 0);
-        log.record(SpanKind::MsgSend, 9, 2, u32::MAX, 3);
-        let back = SpanLog::load_state(&log.save_state()).unwrap();
-        assert_eq!(log, back);
-    }
-
-    #[test]
     fn timeline_shape_mismatch_rejected() {
         let mut tl = Timeline::new(5, vec![SeriesSpec::gauge("a")]);
         tl.push_sample(0, 5, &[1]);
-        let mut v = tl.save_state();
+        let mut v = tl.save();
         // Corrupt the values column length.
         if let Value::Arr(items) = &mut v {
             items[4] = Value::Arr(vec![]);
         }
-        assert!(Timeline::load_state(&v).is_err());
+        assert!(Timeline::load(&v).is_err());
     }
 }

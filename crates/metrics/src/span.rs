@@ -27,6 +27,8 @@
 //! tracing is off; the log is strictly observation-only.
 
 use crate::{escape, MergeRule, MetricSet};
+use picos_trace::snap::{Snap, SnapError};
+use picos_trace::Value;
 
 /// The type of one lifecycle or interconnect event.
 ///
@@ -103,6 +105,38 @@ pub struct SpanEvent {
     /// fault code elsewhere, 0 when unused.
     pub arg: u32,
 }
+
+/// The discriminant.
+impl Snap for SpanKind {
+    fn save(&self) -> Value {
+        Value::Int(*self as u64)
+    }
+
+    fn load(v: &Value) -> Result<Self, SnapError> {
+        Ok(match u8::load(v)? {
+            0 => SpanKind::Submitted,
+            1 => SpanKind::DepsRegistered,
+            2 => SpanKind::LastDepReleased,
+            3 => SpanKind::Ready,
+            4 => SpanKind::Dispatched,
+            5 => SpanKind::Started,
+            6 => SpanKind::Finished,
+            7 => SpanKind::MsgSend,
+            8 => SpanKind::MsgDeliver,
+            9 => SpanKind::MsgRetry,
+            10 => SpanKind::Fault,
+            other => return Err(SnapError::new(format!("unknown span kind {other}"))),
+        })
+    }
+}
+
+picos_trace::snap_struct!(SpanEvent {
+    at,
+    kind,
+    shard,
+    task,
+    arg
+});
 
 /// A preallocated, append-only recorder of [`SpanEvent`]s.
 ///
@@ -766,6 +800,19 @@ pub fn auto_window(makespan_estimate: u64, target_samples: u64) -> u64 {
     w
 }
 
+/// The recorded events, in recording order.
+impl Snap for SpanLog {
+    fn save(&self) -> Value {
+        self.events.save()
+    }
+
+    fn load(v: &Value) -> Result<Self, SnapError> {
+        Ok(SpanLog {
+            events: Snap::load(v)?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,5 +952,24 @@ mod tests {
         let j = log.to_json();
         assert!(j.contains("\"kind\":\"submitted\""));
         assert!(j.contains("\"shard\":1"));
+    }
+
+    #[test]
+    fn span_log_roundtrips() {
+        let mut log = SpanLog::new();
+        log.record(SpanKind::Submitted, 0, 1, 7, 0);
+        log.record(SpanKind::MsgSend, 9, 2, u32::MAX, 3);
+        let back = SpanLog::load(&log.save()).unwrap();
+        assert_eq!(log, back);
+    }
+
+    #[test]
+    fn every_span_kind_roundtrips() {
+        for code in 0..=10u64 {
+            let kind = SpanKind::load(&Value::Int(code)).unwrap();
+            assert_eq!(kind as u64, code);
+            assert_eq!(SpanKind::load(&kind.save()), Ok(kind));
+        }
+        assert!(SpanKind::load(&Value::Int(11)).is_err());
     }
 }

@@ -74,6 +74,12 @@ pub enum SimEvent {
     },
 }
 
+picos_trace::snap_enum!(SimEvent {
+    0 => TaskStarted { task, at },
+    1 => TaskFinished { task, at },
+    2 => ShardMsg { from, to, at },
+});
+
 /// Per-session knobs, chosen when the session is opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionConfig {
@@ -459,13 +465,13 @@ impl Ingest {
 
     /// Serializes the ingest state (window included, as a restore guard).
     pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.opt_u64(self.window.map(|w| w as u64))
-            .u32s(self.gates.iter().copied())
-            .u32(self.cur_gate)
-            .usize(self.admitted)
-            .usize(self.finished);
-        e.done()
+        Enc::new()
+            .put(&self.window)
+            .put(&self.gates)
+            .put(&self.cur_gate)
+            .put(&self.admitted)
+            .put(&self.finished)
+            .done()
     }
 
     /// Overwrites the ingest state from [`Ingest::save_state`] output.
@@ -476,17 +482,11 @@ impl Ingest {
     /// was taken under a different in-flight window.
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "ingest")?;
-        let window = d.opt_u64()?.map(|w| w as usize);
-        if window != self.window {
-            return Err(SnapError::new(format!(
-                "ingest: window mismatch (snapshot {window:?}, session {:?})",
-                self.window
-            )));
-        }
-        self.gates = d.u32s()?;
-        self.cur_gate = d.u32()?;
-        self.admitted = d.usize()?;
-        self.finished = d.usize()?;
+        d.expect("ingest window", &self.window)?;
+        self.gates = d.get()?;
+        self.cur_gate = d.get()?;
+        self.admitted = d.get()?;
+        self.finished = d.get()?;
         Ok(())
     }
 }
@@ -530,10 +530,7 @@ impl EventLog {
     /// Serializes the recorder: the enabled flag (a restore guard) and the
     /// undrained queue.
     pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.bool(self.enabled)
-            .seq(self.q.iter(), crate::snap::enc_event);
-        e.done()
+        Enc::new().put(&self.enabled).put(&self.q).done()
     }
 
     /// Overwrites the recorder from [`EventLog::save_state`] output.
@@ -544,8 +541,8 @@ impl EventLog {
     /// mismatch.
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "event log")?;
-        picos_trace::snap::guard("event log enabled", d.bool()? as u64, self.enabled as u64)?;
-        self.q = d.seq(crate::snap::dec_event)?.into();
+        d.expect("event log enabled", &self.enabled)?;
+        self.q = d.get()?;
         Ok(())
     }
 }
@@ -602,12 +599,12 @@ impl ScheduleLog {
 
     /// Serializes the schedule log.
     pub fn save_state(&self) -> Value {
-        let mut e = Enc::new();
-        e.u64s(self.start.iter().copied())
-            .u64s(self.end.iter().copied())
-            .u32s(self.order.iter().copied())
-            .u64(self.sequential);
-        e.done()
+        Enc::new()
+            .put(&self.start)
+            .put(&self.end)
+            .put(&self.order)
+            .put(&self.sequential)
+            .done()
     }
 
     /// Overwrites the schedule log from [`ScheduleLog::save_state`]
@@ -618,15 +615,13 @@ impl ScheduleLog {
     /// Returns [`SnapError`] on a malformed record.
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "schedule log")?;
-        let start = d.u64s()?;
-        let end = d.u64s()?;
-        if start.len() != end.len() {
+        self.start = d.get()?;
+        self.end = d.get()?;
+        self.order = d.get()?;
+        self.sequential = d.get()?;
+        if self.start.len() != self.end.len() {
             return Err(SnapError::new("schedule log: start/end length mismatch"));
         }
-        self.start = start;
-        self.end = end;
-        self.order = d.u32s()?;
-        self.sequential = d.u64()?;
         Ok(())
     }
 
@@ -647,6 +642,7 @@ impl ScheduleLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use picos_trace::snap::Snap;
     use picos_trace::{Dependence, KernelClass};
 
     #[test]
@@ -722,5 +718,21 @@ mod tests {
         log.push(SimEvent::TaskFinished { task: 1, at: 5 });
         log.drain_into(&mut out);
         assert_eq!(out, vec![SimEvent::TaskFinished { task: 1, at: 5 }]);
+    }
+
+    #[test]
+    fn event_roundtrip() {
+        let evs = [
+            SimEvent::TaskStarted { task: 1, at: 2 },
+            SimEvent::TaskFinished { task: 3, at: 4 },
+            SimEvent::ShardMsg {
+                from: 5,
+                to: 6,
+                at: 7,
+            },
+        ];
+        for ev in evs {
+            assert_eq!(SimEvent::load(&ev.save()).unwrap(), ev);
+        }
     }
 }

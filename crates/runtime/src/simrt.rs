@@ -28,7 +28,8 @@ use crate::session::{
     Admission, EventLog, Ingest, ScheduleLog, SessionConfig, SessionCore, SimEvent,
 };
 use picos_metrics::span::{SpanKind, SpanLog};
-use picos_trace::{TaskDescriptor, TaskId};
+use picos_trace::snap::{fingerprint, Dec, Enc, Snap, SnapError};
+use picos_trace::{TaskDescriptor, TaskId, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -122,11 +123,8 @@ fn acquire(lock_free: &mut u64, at: u64, hold: u64) -> u64 {
 /// Mixes every timing-relevant configuration field into a fingerprint, so
 /// a snapshot refuses to load into a differently-configured session.
 fn cfg_fingerprint(cfg: &SwRuntimeConfig) -> u64 {
-    fn mix(h: u64, v: u64) -> u64 {
-        (h ^ v).wrapping_mul(0x100_0000_01b3)
-    }
     let c = &cfg.cost;
-    [
+    fingerprint([
         cfg.workers as u64,
         cfg.master_executes as u64,
         c.create_base,
@@ -137,29 +135,35 @@ fn cfg_fingerprint(cfg: &SwRuntimeConfig) -> u64 {
         c.dequeue_base,
         c.dequeue_per_thread,
         c.release_per_succ,
-    ]
-    .into_iter()
-    .fold(0xcbf2_9ce4_8422_2325, mix)
+    ])
 }
 
-fn ev_code(ev: Ev) -> (u64, u64, u64) {
-    match ev {
-        Ev::MasterDone(i) => (0, i as u64, 0),
-        Ev::TryDequeue(w) => (1, w as u64, 0),
-        Ev::TaskDone(w, t) => (2, w as u64, t as u64),
+picos_trace::snap_enum!(Ev {
+    0 => MasterDone(task),
+    1 => TryDequeue(worker),
+    2 => TaskDone(worker, task),
+});
+
+impl Snap for WorkerState {
+    fn save(&self) -> Value {
+        Value::Int(*self as u64)
+    }
+
+    fn load(v: &Value) -> Result<Self, SnapError> {
+        match u8::load(v)? {
+            0 => Ok(WorkerState::Parked),
+            1 => Ok(WorkerState::Scheduled),
+            2 => Ok(WorkerState::Running),
+            other => Err(SnapError::new(format!("unknown worker state code {other}"))),
+        }
     }
 }
 
-fn ev_from(code: u64, a: u64, b: u64) -> Result<Ev, picos_trace::SnapError> {
-    match code {
-        0 => Ok(Ev::MasterDone(a as u32)),
-        1 => Ok(Ev::TryDequeue(a as usize)),
-        2 => Ok(Ev::TaskDone(a as usize, b as u32)),
-        other => Err(picos_trace::SnapError::new(format!(
-            "unknown software event code {other}"
-        ))),
-    }
-}
+picos_trace::snap_enum!(Master {
+    0 => Busy,
+    1 => Starved,
+    2 => Parked(gate),
+});
 
 /// An incremental session of the Nanos++ runtime model.
 ///
@@ -400,43 +404,30 @@ impl SoftwareSession {
     /// Serializes the full dynamic state. Restore by opening a session
     /// with the same configuration and calling
     /// [`SoftwareSession::load_state`].
-    pub fn save_state(&self) -> picos_trace::Value {
-        use picos_trace::snap::Enc;
-        let mut heap: Vec<(u64, u64, Ev)> = self.heap.iter().map(|r| r.0).collect();
-        heap.sort_unstable();
-        let mut e = Enc::new();
-        e.u64(cfg_fingerprint(&self.cfg))
-            .opt_u64(self.timeline_window)
-            .bool(self.spans.is_some())
+    pub fn save_state(&self) -> Value {
+        Enc::new()
+            .put(&cfg_fingerprint(&self.cfg))
+            .put(&self.timeline_window)
+            .put(&self.spans.is_some())
             .val(self.deps.save_state())
-            .seq(heap, |e, (t, seq, ev)| {
-                let (code, a, b) = ev_code(ev);
-                e.u64(t).u64(seq).u64(code).u64(a).u64(b);
-            })
-            .u64(self.seq)
-            .u32s(self.ready_q.iter().copied())
-            .u64s(self.state.iter().map(|s| *s as u64))
-            .u64(self.lock_free)
-            .seq(self.tasks.iter(), crate::snap::enc_task)
-            .u64s(self.arrivals.iter().copied())
-            .usize(self.created);
-        match self.master {
-            Master::Busy => e.u64(0).u32(0),
-            Master::Starved => e.u64(1).u32(0),
-            Master::Parked(g) => e.u64(2).u32(g),
-        };
-        e.u64(self.master_free)
-            .bool(self.master_done)
-            .bool(self.closed)
-            .u64(self.now)
+            .put(&self.heap)
+            .put(&self.seq)
+            .put(&self.ready_q)
+            .put(&self.state)
+            .put(&self.lock_free)
+            .put(&self.tasks)
+            .put(&self.arrivals)
+            .put(&self.created)
+            .put(&self.master)
+            .put(&self.master_free)
+            .put(&self.master_done)
+            .put(&self.closed)
+            .put(&self.now)
             .val(self.ingest.save_state())
             .val(self.log.save_state())
             .val(self.events.save_state())
-            .val(match &self.spans {
-                Some(s) => s.save_state(),
-                None => picos_trace::Value::Null,
-            });
-        e.done()
+            .put(&self.spans)
+            .done()
     }
 
     /// Overwrites the dynamic state from [`SoftwareSession::save_state`]
@@ -444,88 +435,32 @@ impl SoftwareSession {
     ///
     /// # Errors
     ///
-    /// Returns [`picos_trace::SnapError`] on a malformed record or a
-    /// configuration mismatch (worker count, cost model, telemetry
-    /// attachments, in-flight window).
-    pub fn load_state(&mut self, v: &picos_trace::Value) -> Result<(), picos_trace::SnapError> {
-        use picos_trace::snap::{guard, Dec};
+    /// Returns [`SnapError`] on a malformed record or a configuration
+    /// mismatch (worker count, cost model, telemetry attachments,
+    /// in-flight window).
+    pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "software session")?;
-        guard("nanos config", d.u64()?, cfg_fingerprint(&self.cfg))?;
-        let window = d.opt_u64()?;
-        if window != self.timeline_window {
-            return Err(picos_trace::SnapError::new(
-                "software session: timeline window mismatch",
-            ));
-        }
-        guard(
-            "nanos spans attached",
-            d.bool()? as u64,
-            self.spans.is_some() as u64,
-        )?;
-        let deps = d.val()?;
-        let heap = d.seq(|d| {
-            let (t, seq) = (d.u64()?, d.u64()?);
-            let (code, a, b) = (d.u64()?, d.u64()?, d.u64()?);
-            Ok((t, seq, ev_from(code, a, b)?))
-        })?;
-        let seq = d.u64()?;
-        let ready_q = d.u32s()?;
-        let state = d
-            .u64s()?
-            .into_iter()
-            .map(|c| match c {
-                0 => Ok(WorkerState::Parked),
-                1 => Ok(WorkerState::Scheduled),
-                2 => Ok(WorkerState::Running),
-                other => Err(picos_trace::SnapError::new(format!(
-                    "unknown worker state code {other}"
-                ))),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if state.len() != self.cfg.workers {
-            return Err(picos_trace::SnapError::new(
-                "software session: worker table length mismatch",
-            ));
-        }
-        let lock_free = d.u64()?;
-        let tasks = d.seq(crate::snap::dec_task)?;
-        let arrivals = d.u64s()?;
-        let created = d.usize()?;
-        let master = match (d.u64()?, d.u32()?) {
-            (0, _) => Master::Busy,
-            (1, _) => Master::Starved,
-            (2, g) => Master::Parked(g),
-            (other, _) => {
-                return Err(picos_trace::SnapError::new(format!(
-                    "unknown master state code {other}"
-                )))
-            }
-        };
-        let master_free = d.u64()?;
-        let master_done = d.bool()?;
-        let closed = d.bool()?;
-        let now = d.u64()?;
-        self.deps.load_state(deps)?;
+        d.expect("nanos config", &cfg_fingerprint(&self.cfg))?;
+        d.expect("nanos timeline window", &self.timeline_window)?;
+        d.expect("nanos spans attached", &self.spans.is_some())?;
+        self.deps.load_state(d.val()?)?;
+        self.heap = d.get()?;
+        self.seq = d.get()?;
+        self.ready_q = d.get()?;
+        self.state = d.table("worker", self.cfg.workers)?;
+        self.lock_free = d.get()?;
+        self.tasks = d.get()?;
+        self.arrivals = d.get()?;
+        self.created = d.get()?;
+        self.master = d.get()?;
+        self.master_free = d.get()?;
+        self.master_done = d.get()?;
+        self.closed = d.get()?;
+        self.now = d.get()?;
         self.ingest.load_state(d.val()?)?;
         self.log.load_state(d.val()?)?;
         self.events.load_state(d.val()?)?;
-        self.spans = match d.val()? {
-            picos_trace::Value::Null => None,
-            v => Some(SpanLog::load_state(v)?),
-        };
-        self.heap = heap.into_iter().map(Reverse).collect();
-        self.seq = seq;
-        self.ready_q = ready_q.into();
-        self.state = state;
-        self.lock_free = lock_free;
-        self.tasks = tasks;
-        self.arrivals = arrivals;
-        self.created = created;
-        self.master = master;
-        self.master_free = master_free;
-        self.master_done = master_done;
-        self.closed = closed;
-        self.now = now;
+        self.spans = d.get()?;
         Ok(())
     }
 
@@ -853,5 +788,23 @@ mod tests {
         assert!(retries > 0, "a 3-task window must backpressure");
         let r = s.into_output().unwrap().0;
         r.validate(&tr).unwrap();
+    }
+
+    #[test]
+    fn scheduler_state_roundtrips() {
+        for ev in [Ev::MasterDone(1), Ev::TryDequeue(2), Ev::TaskDone(3, 4)] {
+            assert_eq!(Ev::load(&ev.save()), Ok(ev));
+        }
+        for w in [
+            WorkerState::Parked,
+            WorkerState::Scheduled,
+            WorkerState::Running,
+        ] {
+            assert_eq!(WorkerState::load(&w.save()), Ok(w));
+        }
+        for m in [Master::Busy, Master::Starved, Master::Parked(9)] {
+            assert_eq!(Master::load(&m.save()), Ok(m));
+        }
+        assert!(WorkerState::load(&Value::Int(3)).is_err());
     }
 }

@@ -22,7 +22,9 @@ use std::time::Duration;
 /// Longest request line a client may send, newline excluded. No verb
 /// carries bulk data, so a longer line is a broken or hostile client: it
 /// gets one protocol error line and is disconnected, which bounds each
-/// client's input buffer.
+/// client's input buffer. It also bounds each client's backlog of unread
+/// responses: once that many bytes await the client, its further lines
+/// wait unexecuted until it reads.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// One connected client: the stream plus its line-reassembly buffers.
@@ -171,9 +173,11 @@ pub fn serve_on(cfg: ServeConfig, listener: TcpListener, stop: &AtomicBool) -> s
 /// One I/O turn for one client; returns whether anything happened.
 fn pump(c: &mut Client, handle: &mut ServeHandle, chunk: &mut [u8]) -> bool {
     let mut busy = false;
-    // Stop reading once the buffer could hold an over-long line, so a
-    // client that never sends a newline cannot grow it further.
-    while !c.hangup && c.inbuf.len() <= MAX_LINE_BYTES {
+    // Stop reading once the input buffer could hold an over-long line, so
+    // a client that never sends a newline cannot grow it further, and
+    // while a backlog of unread responses is pending, so a client that
+    // never reads is held back by TCP flow control.
+    while !c.hangup && c.inbuf.len() <= MAX_LINE_BYTES && c.outbuf.len() < MAX_LINE_BYTES {
         match c.stream.read(chunk) {
             Ok(0) => {
                 c.closed = true;
@@ -194,11 +198,14 @@ fn pump(c: &mut Client, handle: &mut ServeHandle, chunk: &mut [u8]) -> bool {
             }
         }
     }
-    // Execute every complete line in the input buffer, searching only the
-    // bytes not scanned on an earlier turn.
+    // Execute the complete lines in the input buffer, searching only the
+    // bytes not scanned on an earlier turn, until the output backlog
+    // reaches the cap; the rest wait, with `scanned` before them, until
+    // the client reads its responses.
     let mut start = 0;
-    while !c.hangup {
+    while !c.hangup && c.outbuf.len() < MAX_LINE_BYTES {
         let Some(off) = c.inbuf[c.scanned..].iter().position(|&b| b == b'\n') else {
+            c.scanned = c.inbuf.len();
             if c.inbuf.len() - start > MAX_LINE_BYTES {
                 overlong(c);
             }
@@ -223,10 +230,11 @@ fn pump(c: &mut Client, handle: &mut ServeHandle, chunk: &mut [u8]) -> bool {
     }
     if c.hangup {
         c.inbuf.clear();
+        c.scanned = 0;
     } else {
         c.inbuf.drain(..start);
+        c.scanned -= start;
     }
-    c.scanned = c.inbuf.len();
     // Flush as much of the output buffer as the socket takes.
     while !c.outbuf.is_empty() {
         match c.stream.write(&c.outbuf) {

@@ -25,6 +25,7 @@ use picos_backend::{
 };
 use picos_metrics::{MergeRule, MetricSet, SeriesSpec, Timeline, WindowSampler};
 use picos_runtime::{replay_journal_tail, JournaledSession};
+use picos_trace::snap::{FNV_OFFSET, FNV_PRIME};
 use picos_trace::{json_escape, parse_json, SessionJournal, TaskDescriptor, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -45,14 +46,10 @@ impl Hasher for FnvHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
+        let mut h = if self.0 == 0 { FNV_OFFSET } else { self.0 };
         for &b in bytes {
             h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
         self.0 = h;
     }
@@ -428,12 +425,11 @@ impl Scrape {
 /// A stable digest of a schedule (FNV-1a over the order/start/end arrays):
 /// lets a wire client check bit-exactness without shipping the schedule.
 pub fn schedule_digest(report: &picos_runtime::ExecReport) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     let mut eat = |v: u64| {
         for b in v.to_le_bytes() {
             h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
+            h = h.wrapping_mul(FNV_PRIME);
         }
     };
     eat(report.makespan);

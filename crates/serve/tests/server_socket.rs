@@ -8,10 +8,11 @@ use picos_serve::{
     schedule_digest, serve, Request, ServeConfig, Service, TenantSpec, MAX_LINE_BYTES,
 };
 use picos_trace::{gen, Value};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// A fresh scratch directory under the system temp dir.
 fn scratch(tag: &str) -> PathBuf {
@@ -255,5 +256,61 @@ fn unterminated_line_past_the_limit_is_rejected_and_closed() {
         tenant: "good".into(),
     });
     assert!(v.as_obj().unwrap().get("stats").is_some(), "{v:?}");
+    server.shutdown().unwrap();
+}
+
+/// A client that pipelines requests and never reads is held back by TCP
+/// flow control: once its unread responses reach `MAX_LINE_BYTES` the
+/// server stops executing and reading its lines, so its writes block
+/// long before 32 MiB while another client keeps being served. When it
+/// reads again, every complete line it sent gets exactly one response.
+#[test]
+fn a_client_that_never_reads_is_held_back() {
+    let server = serve(ServeConfig::default(), "127.0.0.1:0").unwrap();
+    let mut flood = Client::connect(server.addr());
+    flood
+        .writer
+        .set_write_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let line = format!("{}\n", Request::Scrape.to_line());
+    let stream = line.repeat(4096);
+    let mut sent = 0;
+    while sent < 32 << 20 {
+        match flood
+            .writer
+            .write(&stream.as_bytes()[sent % stream.len()..])
+        {
+            Ok(n) => sent += n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+            Err(e) => panic!("write: {e}"),
+        }
+    }
+    assert!(sent < 32 << 20, "writes never blocked");
+
+    let mut good = Client::connect(server.addr());
+    good.call_ok(&Request::Open {
+        tenant: "good".into(),
+        spec: TenantSpec::new(BackendSpec::Perfect, 2),
+    });
+    good.call_ok(&Request::Stats {
+        tenant: "good".into(),
+    });
+
+    let lines = sent / line.len();
+    let mut response = String::new();
+    for i in 0..lines {
+        response.clear();
+        flood.reader.read_line(&mut response).expect("read");
+        assert!(response.contains("\"ok\":true"), "response {i}: {response}");
+    }
+    flood
+        .writer
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut extra = [0u8; 1];
+    match flood.reader.read(&mut extra) {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("a response for an incomplete line: {other:?}"),
+    }
     server.shutdown().unwrap();
 }

@@ -4,6 +4,8 @@
 //! task-creation time (paper, Section III): a task identifier, the number of
 //! dependences, and for each dependence its memory address and direction.
 
+use crate::snap::{Snap, SnapError};
+use crate::Value;
 use std::fmt;
 use std::sync::Arc;
 
@@ -231,6 +233,37 @@ impl TaskDescriptor {
     }
 }
 
+crate::snap_struct!(TaskId(u32));
+
+/// `0` = in, `1` = out, `2` = inout.
+impl Snap for Direction {
+    fn save(&self) -> Value {
+        Value::Int(*self as u64)
+    }
+
+    fn load(v: &Value) -> Result<Self, SnapError> {
+        match u64::load(v)? {
+            0 => Ok(Direction::In),
+            1 => Ok(Direction::Out),
+            2 => Ok(Direction::InOut),
+            other => Err(SnapError::new(format!("unknown direction {other}"))),
+        }
+    }
+}
+
+crate::snap_struct!(Dependence { addr, dir });
+
+crate::snap_struct!(KernelClass(u16));
+
+// The dependence list was merged at creation time, so it is rebuilt
+// verbatim.
+crate::snap_struct!(TaskDescriptor {
+    id,
+    kernel,
+    duration,
+    deps
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,5 +339,22 @@ mod tests {
     #[test]
     fn dependence_display() {
         assert_eq!(Dependence::inout(0xff).to_string(), "inout(0xff)");
+    }
+
+    #[test]
+    fn task_roundtrip() {
+        let t = TaskDescriptor::new(
+            TaskId::new(7),
+            KernelClass(3),
+            [Dependence::input(0x1000), Dependence::inout(u64::MAX - 63)],
+            12_345,
+        );
+        assert_eq!(TaskDescriptor::load(&t.save()).unwrap(), t);
+    }
+
+    #[test]
+    fn bad_direction_rejected() {
+        assert!(Direction::load(&Value::Int(3)).is_err());
+        assert_eq!(Direction::load(&Value::Int(2)), Ok(Direction::InOut));
     }
 }
