@@ -3,7 +3,8 @@
 //! Runs the bare engine (instant workers), the batch backend path
 //! (session-driven), the paced streaming driver at saturation, a snapshot
 //! roundtrip, a perfect/nanos/HW-only sweep grid, a cluster-backend grid,
-//! the serial-vs-parallel cluster engine A/B, and the multi-tenant
+//! the serial-vs-parallel cluster engine A/B (fault-free and under 1% link
+//! drop), and the multi-tenant
 //! serve-layer A/B (256 multiplexed stream tenants vs the same sessions
 //! solo), and emits `BENCH_engine.json` with tasks/sec and cells/sec,
 //! alongside the pinned pre-rewrite baseline.
@@ -239,9 +240,10 @@ fn main() {
     // workload. The parallel engine is bit-identical to serial, so
     // this measures pure wall-clock: the epoch engine's O(events)
     // processing against the serial driver's O(shards)-per-event pump
-    // scans, plus real threads when the host has cores to give (the
-    // thread count clamps to available parallelism, so single-core CI
-    // runners measure the inline epoch engine).
+    // scans, plus real threads when the host has cores to give and they
+    // measure faster (the thread count clamps to available parallelism,
+    // and the engine's loop probe keeps threads only where they beat its
+    // inline loop).
     // A third side measures the fault layer's zero-fault overhead: a
     // cluster with an attached all-zero-rates FaultPlan runs the exact
     // same schedule bit-identically (pinned below), so the delta vs the
@@ -295,6 +297,32 @@ fn main() {
             ],
         )
         .map(|t| 1.0 / t);
+
+    // The same serial-vs-parallel A/B under an active fault plan (1% link
+    // drop): the epoch engine replays every fault draw, ack and retry in
+    // the merge, so the faulted schedule is bit-identical (pinned below)
+    // and the figure is the price of that serial bookkeeping.
+    let drop1 = || Some(FaultPlan::new(1).with_drop_rate(0.01));
+    let fault_serial = cluster_at(1, drop1());
+    let fault_par = cluster_at(4, drop1());
+    assert_eq!(
+        fault_serial
+            .run(&stream4, batch)
+            .expect("faulted serial cluster completes")
+            .report,
+        fault_par
+            .run(&stream4, batch)
+            .expect("faulted parallel cluster completes")
+            .report,
+        "faulted parallel cluster engine must be bit-identical to serial"
+    );
+    let [cluster_fault_serial_cells_per_sec, cluster_fault_par_cells_per_sec] = sample(
+        window,
+        [&|| cluster_run(&*fault_serial), &|| {
+            cluster_run(&*fault_par)
+        }],
+    )
+    .map(|t| 1.0 / t);
 
     // Serve-layer multiplexing tax: 256 stream tenants multiplexed behind
     // one Service on one scheduler thread, against the same 256 sessions
@@ -363,6 +391,8 @@ fn main() {
          \"cluster_serial4_cells_per_sec\": {:.1},\n  \
          \"cluster_par_cells_per_sec\": {:.1},\n  \
          \"cluster_fault0_cells_per_sec\": {:.1},\n  \
+         \"cluster_fault_serial_cells_per_sec\": {:.1},\n  \
+         \"cluster_fault_par_cells_per_sec\": {:.1},\n  \
          \"serve_tenants\": {},\n  \
          \"serve_sessions_per_sec\": {:.1},\n  \
          \"serve_solo_sessions_per_sec\": {:.1}\n}}\n",
@@ -382,6 +412,8 @@ fn main() {
         cluster_serial4_cells_per_sec,
         cluster_par_cells_per_sec,
         cluster_fault0_cells_per_sec,
+        cluster_fault_serial_cells_per_sec,
+        cluster_fault_par_cells_per_sec,
         serve_tenants,
         serve_sessions_per_sec,
         serve_solo_sessions_per_sec
@@ -446,6 +478,17 @@ fn main() {
             "FAIL: zero-fault 4-shard cluster {cluster_fault0_cells_per_sec:.1} \
              cells/s fell more than 3% below the plain serial engine's \
              {cluster_serial4_cells_per_sec:.1} cells/s"
+        );
+        std::process::exit(1);
+    }
+    // CI assertion: under an active fault plan the parallel engine must
+    // not be slower than the serial reference either (same 5% allowance
+    // as the fault-free gate).
+    if cluster_fault_par_cells_per_sec < cluster_fault_serial_cells_per_sec * 0.95 {
+        eprintln!(
+            "FAIL: faulted parallel 4-shard cluster \
+             {cluster_fault_par_cells_per_sec:.1} cells/s fell below the \
+             faulted serial engine's {cluster_fault_serial_cells_per_sec:.1} cells/s"
         );
         std::process::exit(1);
     }

@@ -98,14 +98,14 @@ pub struct ClusterConfig {
     pub dispatch: u64,
     /// Simulation threads for the conservative-parallel event engine
     /// (default `1` = the serial reference engine). Values above one run
-    /// shard lanes on scoped OS threads, bit-identical to serial; at most
-    /// one thread per shard is ever useful, so `threads > shards` is
-    /// rejected by [`ClusterConfig::validate`].
+    /// shard lanes on scoped OS threads, bit-identical to serial with or
+    /// without a fault plan; at most one thread per shard is ever useful,
+    /// so `threads > shards` is rejected by [`ClusterConfig::validate`].
     pub threads: usize,
     /// Deterministic fault schedule, or `None` for the fault-free engine.
-    /// Attaching a plan arms the interconnect's ack/timeout/retry protocol
-    /// and (for inherently global fault bookkeeping) runs the serial
-    /// reference engine regardless of `threads`. A zero-fault plan is
+    /// Attaching a plan arms the interconnect's ack/timeout/retry protocol;
+    /// with `threads > 1` the epoch engine drives it, replaying every fault
+    /// draw, ack and retry in serial order. A zero-fault plan is
     /// bit-identical to `None`.
     pub faults: Option<FaultPlan>,
 }

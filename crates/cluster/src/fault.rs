@@ -48,6 +48,18 @@
 //! share the original's packet id; the receiver deduplicates by id, so a
 //! redelivered message — duplicate or retry of one whose ack was lost — is
 //! counted ([`FaultCounters::redeliveries`]) and dropped.
+//!
+//! # Two halves
+//!
+//! The runtime state splits where the parallel epoch engine needs it to.
+//! [`ShardFaults`] is one shard's local half: pause deferral, the drop
+//! discard, id dedup, its worker faults and counters — no random draw and
+//! nothing another shard touches. [`FaultState`] holds the sender side:
+//! the RNG stream, packet ids, the pending and deadline tables, retries.
+//! The serial pump runs [`next_arrival`] and then [`FaultState::ack`] back
+//! to back; the epoch engine runs [`next_arrival`] in the shard's lane and
+//! replays sends, acks and retries through [`FaultState`] in the merge, in
+//! serial pump order, so both engines draw the same numbers.
 
 use crate::config::{ClusterConfig, ClusterError};
 use picos_hil::Link;
@@ -55,6 +67,7 @@ use picos_trace::rng::SplitMix64;
 use picos_trace::snap::{Dec, Enc, Snap, SnapError};
 use picos_trace::Value;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// A shard ingress pause window: deliveries into `shard` arriving at
 /// `at <= t < until` are deferred to `until` (a straggler shard whose
@@ -104,6 +117,21 @@ picos_trace::snap_struct!(FaultCounters {
     redeliveries,
     recoveries
 });
+
+impl FaultCounters {
+    /// Adds `other` field by field.
+    pub(crate) fn add(&mut self, other: &FaultCounters) {
+        self.drops += other.drops;
+        self.retries += other.retries;
+        self.redeliveries += other.redeliveries;
+        self.recoveries += other.recoveries;
+    }
+
+    /// The values in the order of the `faults.*` telemetry series.
+    pub(crate) fn series(&self) -> [u64; 4] {
+        [self.drops, self.retries, self.redeliveries, self.recoveries]
+    }
+}
 
 /// A deterministic, seeded fault schedule for one cluster run.
 ///
@@ -329,10 +357,156 @@ picos_trace::snap_struct!(Pending<P> {
     msg,
 });
 
-/// The runtime state of an attached [`FaultPlan`]: the RNG stream, the
-/// sender-side pending/retry tables, receiver-side dedup and pause
-/// deferral queues, the worker-fault cursor, and the counters. Cloning is
-/// a deep copy — the fork primitive of the snapshot subsystem.
+/// Indexed access to the destination links of fault-layer sends: the
+/// session's link vector in the serial pump, the shard lanes in the
+/// epoch engine's merge.
+pub(crate) trait LinkSet<P> {
+    /// The ingress link of shard `to`.
+    fn link(&mut self, to: u16) -> &mut Link<Packet<P>>;
+}
+
+impl<P> LinkSet<P> for Vec<Link<Packet<P>>> {
+    fn link(&mut self, to: u16) -> &mut Link<Packet<P>> {
+        &mut self[to as usize]
+    }
+}
+
+/// What one packet reaching a shard leaves for the engine to do.
+#[derive(Debug)]
+pub(crate) struct Arrival<P> {
+    /// The payload to handle, or `None` when the fault layer consumed the
+    /// packet: deferred by a pause window, lost to its drop fate, or
+    /// discarded as a redelivery.
+    pub(crate) msg: Option<P>,
+    /// The wire packet id (0 on the plain path).
+    pub(crate) id: u32,
+    /// Whether the sender must be acknowledged ([`FaultState::ack`]).
+    pub(crate) ack: bool,
+}
+
+/// Pops the next packet reaching a shard at `t` and runs it through the
+/// shard-local half of the receive path: pause-released deferrals first
+/// (they arrived earlier), then fresh link arrivals. Without a fault layer
+/// it is a plain link pop. The serial pump and the parallel lanes share
+/// this one helper; it draws no randomness, so the caller applies each
+/// ack through [`FaultState::ack`] in serial pump order.
+pub(crate) fn next_arrival<P>(
+    link: &mut Link<Packet<P>>,
+    faults: Option<&mut ShardFaults<P>>,
+    t: u64,
+) -> Option<Arrival<P>> {
+    let Some(f) = faults else {
+        return link.pop_delivery_at(t).map(|pkt| Arrival {
+            msg: Some(pkt.msg),
+            id: pkt.id,
+            ack: false,
+        });
+    };
+    let pkt = match f.deferred.front() {
+        Some(&(release, _)) if release <= t => f.deferred.pop_front().map(|(_, pkt)| pkt),
+        _ => link.pop_delivery_at(t),
+    }?;
+    Some(f.receive(t, pkt))
+}
+
+/// The shard-local half of the fault layer: everything one shard's own
+/// deliveries and workers touch. The epoch engine lends each to its
+/// shard's lane for a drive; no field here depends on another shard or on
+/// a random draw.
+#[derive(Debug, Clone)]
+pub(crate) struct ShardFaults<P> {
+    /// Pause windows `(at, until)`, sorted; non-overlapping by plan
+    /// validation.
+    pauses: Vec<(u64, u64)>,
+    /// Deferred deliveries `(release, packet)`; releases are
+    /// non-decreasing because deferral time is and windows don't overlap.
+    deferred: VecDeque<(u64, Packet<P>)>,
+    /// Packet ids first delivered here. A packet id only ever travels to
+    /// one shard, so per-shard dedup is global dedup.
+    delivered: HashSet<u32>,
+    /// The dedup table restored from a snapshot, which does not record the
+    /// shard of each id; shared read-only by every shard.
+    restored: Arc<HashSet<u32>>,
+    /// This shard's worker-fault cycles, ascending, consumed through a
+    /// cursor.
+    worker_faults: Vec<u64>,
+    wf_next: usize,
+    /// Drops, redeliveries and recoveries seen here (retries are the
+    /// sender's).
+    counters: FaultCounters,
+}
+
+impl<P> ShardFaults<P> {
+    /// Earliest shard-local fault event: a deferred delivery's release or
+    /// the next worker fault.
+    pub(crate) fn next_time(&self) -> Option<u64> {
+        let release = self.deferred.front().map(|&(r, _)| r);
+        let fault = self.worker_faults.get(self.wf_next).copied();
+        release.into_iter().chain(fault).min()
+    }
+
+    /// Consumes the next worker fault if it is due at or before `t` (call
+    /// in a loop).
+    pub(crate) fn due_worker_fault(&mut self, t: u64) -> bool {
+        let due = self
+            .worker_faults
+            .get(self.wf_next)
+            .is_some_and(|&at| at <= t);
+        self.wf_next += usize::from(due);
+        due
+    }
+
+    /// Records a task re-execution after a fail-stop worker fault.
+    pub(crate) fn note_recovery(&mut self) {
+        self.counters.recoveries += 1;
+    }
+
+    /// The counters this shard accumulated.
+    pub(crate) fn counters(&self) -> FaultCounters {
+        self.counters
+    }
+
+    /// The shard-local half of a delivery at `t`: pause deferral, the
+    /// drop fate drawn at send, and id dedup. Successful (and redelivered)
+    /// tracked packets ask for an ack — a redelivery usually exists
+    /// because the first ack was lost.
+    fn receive(&mut self, t: u64, pkt: Packet<P>) -> Arrival<P> {
+        let id = pkt.id;
+        let consumed = |ack| Arrival { msg: None, id, ack };
+        if let Some(release) = self.pause_release(t) {
+            self.deferred.push_back((release, pkt));
+            return consumed(false);
+        }
+        if pkt.drop {
+            self.counters.drops += 1;
+            return consumed(false);
+        }
+        if id != 0 && (self.restored.contains(&id) || !self.delivered.insert(id)) {
+            self.counters.redeliveries += 1;
+            return consumed(true);
+        }
+        Arrival {
+            msg: Some(pkt.msg),
+            id,
+            ack: id != 0,
+        }
+    }
+
+    /// The release time of the pause window containing `t`, strictly
+    /// greater than `t` by construction (`at <= t < until`).
+    fn pause_release(&self, t: u64) -> Option<u64> {
+        self.pauses
+            .iter()
+            .find(|&&(at, until)| at <= t && t < until)
+            .map(|&(_, until)| until)
+    }
+}
+
+/// The runtime state of an attached [`FaultPlan`]: the sender side (the
+/// RNG stream, packet ids, the pending/retry tables, the retry counter and
+/// the first error) plus one [`ShardFaults`] per shard. Every random draw
+/// and every sender-side table update happens here. Cloning is a deep
+/// copy — the fork primitive of the snapshot subsystem.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState<P> {
     plan: FaultPlan,
@@ -347,42 +521,46 @@ pub(crate) struct FaultState<P> {
     /// Retry deadlines ordered by `(deadline, id)`; acks remove their
     /// entry eagerly so `next_time` never sees a stale deadline.
     deadlines: BTreeSet<(u64, u32)>,
-    delivered: HashSet<u32>,
-    /// Per-shard pause windows `(at, until)`, sorted; non-overlapping by
-    /// plan validation.
-    pauses: Vec<Vec<(u64, u64)>>,
-    /// Per-shard deferred deliveries `(release, packet)`; releases are
-    /// non-decreasing because deferral time is and windows don't overlap.
-    deferred: Vec<VecDeque<(u64, Packet<P>)>>,
-    /// Worker faults sorted by `(at, shard)`, consumed through a cursor.
-    worker_faults: Vec<WorkerFault>,
-    wf_next: usize,
+    /// The shard-local halves, index = shard. Empty while a parallel
+    /// drive has lent them to its lanes.
+    shards: Vec<ShardFaults<P>>,
+    /// Retries, plus every counter restored from a snapshot (shard
+    /// counters restart at zero on restore; only the sum is observable).
     counters: FaultCounters,
     error: Option<ClusterError>,
 }
 
 impl<P: Clone> FaultState<P> {
     pub(crate) fn new(plan: FaultPlan, shards: usize) -> Self {
-        let mut pauses = vec![Vec::new(); shards];
+        let restored = Arc::new(HashSet::new());
+        let mut per_shard: Vec<ShardFaults<P>> = (0..shards)
+            .map(|_| ShardFaults {
+                pauses: Vec::new(),
+                deferred: VecDeque::new(),
+                delivered: HashSet::new(),
+                restored: Arc::clone(&restored),
+                worker_faults: Vec::new(),
+                wf_next: 0,
+                counters: FaultCounters::default(),
+            })
+            .collect();
         for p in &plan.pauses {
-            pauses[p.shard as usize].push((p.at, p.until));
+            per_shard[p.shard as usize].pauses.push((p.at, p.until));
         }
-        for w in pauses.iter_mut() {
-            w.sort_unstable();
+        for f in &plan.worker_faults {
+            per_shard[f.shard as usize].worker_faults.push(f.at);
         }
-        let mut worker_faults = plan.worker_faults.clone();
-        worker_faults.sort_unstable_by_key(|f| (f.at, f.shard));
+        for s in per_shard.iter_mut() {
+            s.pauses.sort_unstable();
+            s.worker_faults.sort_unstable();
+        }
         FaultState {
             rng: SplitMix64::new(plan.seed),
             track: plan.drop_rate > 0.0 || plan.dup_rate > 0.0 || !plan.pauses.is_empty(),
             next_id: 0,
             pending: HashMap::new(),
             deadlines: BTreeSet::new(),
-            delivered: HashSet::new(),
-            pauses,
-            deferred: vec![VecDeque::new(); shards],
-            worker_faults,
-            wf_next: 0,
+            shards: per_shard,
             counters: FaultCounters::default(),
             error: None,
             plan,
@@ -396,8 +574,14 @@ impl<P: Clone> FaultState<P> {
         self.plan.is_active()
     }
 
+    /// The run's fault counters: the sender's plus every shard's held
+    /// here (a parallel drive adds its lanes' own).
     pub(crate) fn counters(&self) -> FaultCounters {
-        self.counters
+        let mut c = self.counters;
+        for s in &self.shards {
+            c.add(&s.counters);
+        }
+        c
     }
 
     /// The first fault-layer error (retry exhaustion), if any. Only
@@ -407,34 +591,34 @@ impl<P: Clone> FaultState<P> {
         self.error.as_ref()
     }
 
-    /// Records a task re-execution after a fail-stop worker fault.
-    pub(crate) fn note_recovery(&mut self) {
-        self.counters.recoveries += 1;
+    /// Shard `s`'s local half.
+    pub(crate) fn shard_mut(&mut self, s: usize) -> &mut ShardFaults<P> {
+        &mut self.shards[s]
+    }
+
+    /// Lends every shard-local half out (to the epoch engine's lanes).
+    pub(crate) fn take_shards(&mut self) -> Vec<ShardFaults<P>> {
+        std::mem::take(&mut self.shards)
+    }
+
+    /// Takes the shard-local halves back, in shard order.
+    pub(crate) fn return_shards(&mut self, shards: Vec<ShardFaults<P>>) {
+        self.shards = shards;
+    }
+
+    /// The earliest pending retry deadline.
+    pub(crate) fn next_deadline(&self) -> Option<u64> {
+        self.deadlines.first().map(|&(d, _)| d)
     }
 
     /// Earliest fault-layer event: a retry deadline, a deferred delivery's
     /// release, or a scheduled worker fault.
     pub(crate) fn next_time(&self) -> Option<u64> {
-        let mut next = self.deadlines.first().map(|&(d, _)| d);
-        for q in &self.deferred {
-            if let Some(&(release, _)) = q.front() {
-                next = Some(next.map_or(release, |n| n.min(release)));
-            }
-        }
-        if let Some(f) = self.worker_faults.get(self.wf_next) {
-            next = Some(next.map_or(f.at, |n| n.min(f.at)));
-        }
-        next
-    }
-
-    /// Pops the next worker fault due at or before `t` (call in a loop).
-    pub(crate) fn due_worker_fault(&mut self, t: u64) -> Option<u16> {
-        let f = self.worker_faults.get(self.wf_next)?;
-        if f.at > t {
-            return None;
-        }
-        self.wf_next += 1;
-        Some(f.shard)
+        self.shards
+            .iter()
+            .filter_map(ShardFaults::next_time)
+            .chain(self.next_deadline())
+            .min()
     }
 
     /// Sends `msg` from shard `from` to shard `to` under the fault layer:
@@ -442,14 +626,14 @@ impl<P: Clone> FaultState<P> {
     /// matching rate is nonzero — zero-rate plans never touch the RNG),
     /// possibly duplicates, and registers the retry deadline. Returns the
     /// assigned packet id (0 on the untracked path, like a plain send).
-    pub(crate) fn send(
+    pub(crate) fn send<L: LinkSet<P> + ?Sized>(
         &mut self,
         t: u64,
         from: u16,
         to: u16,
         msg: P,
         words: usize,
-        links: &mut [Link<Packet<P>>],
+        links: &mut L,
     ) -> u32 {
         if !self.track {
             // No fault can lose, duplicate or defer this message, so its
@@ -462,7 +646,9 @@ impl<P: Clone> FaultState<P> {
             } else {
                 0
             };
-            links[to as usize].send_words_delayed(t, Packet::plain(msg), words, extra);
+            links
+                .link(to)
+                .send_words_delayed(t, Packet::plain(msg), words, extra);
             return 0;
         }
         self.next_id += 1;
@@ -492,14 +678,20 @@ impl<P: Clone> FaultState<P> {
     /// deadline: expected arrival plus the backoff timeout for the current
     /// attempt — always strictly after the arrival, which is what keeps an
     /// inactive plan's deadlines invisible to the event clock.
-    fn transmit(&mut self, t: u64, id: u32, p: &Pending<P>, links: &mut [Link<Packet<P>>]) -> u64 {
+    fn transmit<L: LinkSet<P> + ?Sized>(
+        &mut self,
+        t: u64,
+        id: u32,
+        p: &Pending<P>,
+        links: &mut L,
+    ) -> u64 {
         let drop = self.plan.drop_rate > 0.0 && self.rng.bool(self.plan.drop_rate);
         let extra = if self.plan.jitter_rate > 0.0 && self.rng.bool(self.plan.jitter_rate) {
             self.rng.range_u64(1, self.plan.max_jitter.max(1))
         } else {
             0
         };
-        let link = &mut links[p.to as usize];
+        let link = links.link(p.to);
         let pkt = Packet {
             id,
             drop,
@@ -513,10 +705,10 @@ impl<P: Clone> FaultState<P> {
     /// records [`ClusterError::LinkTimeout`] once the budget is exhausted.
     /// Returns the `(from, to)` of each resend for event/traffic
     /// accounting.
-    pub(crate) fn pump_retries(
+    pub(crate) fn pump_retries<L: LinkSet<P> + ?Sized>(
         &mut self,
         t: u64,
-        links: &mut [Link<Packet<P>>],
+        links: &mut L,
     ) -> Vec<(u16, u16)> {
         let mut sent = Vec::new();
         while let Some(&(deadline, id)) = self.deadlines.first() {
@@ -551,56 +743,11 @@ impl<P: Clone> FaultState<P> {
         sent
     }
 
-    /// Processes a packet delivered to `shard` at `t`. Returns the payload
-    /// when it should be handled, or `None` when the fault layer consumed
-    /// it: deferred by a pause window, lost to a drop fate, or discarded
-    /// as a redelivery. Successful (and redelivered) packets acknowledge
-    /// the sender instantaneously — unless the ack itself is lost, which
-    /// leaves the sender retrying into receiver-side dedup.
-    pub(crate) fn receive(&mut self, shard: usize, t: u64, pkt: Packet<P>) -> Option<P> {
-        if let Some(release) = self.pause_release(shard, t) {
-            self.deferred[shard].push_back((release, pkt));
-            return None;
-        }
-        if pkt.drop {
-            self.counters.drops += 1;
-            return None;
-        }
-        if pkt.id != 0 {
-            if !self.delivered.insert(pkt.id) {
-                self.counters.redeliveries += 1;
-                // Re-acknowledge: the duplicate usually exists because the
-                // first ack was lost.
-                self.maybe_ack(pkt.id);
-                return None;
-            }
-            self.maybe_ack(pkt.id);
-        }
-        Some(pkt.msg)
-    }
-
-    /// Pops a deferred delivery whose pause window has expired.
-    pub(crate) fn pop_deferred(&mut self, shard: usize, t: u64) -> Option<Packet<P>> {
-        match self.deferred[shard].front() {
-            Some(&(release, _)) if release <= t => {
-                self.deferred[shard].pop_front().map(|(_, pkt)| pkt)
-            }
-            _ => None,
-        }
-    }
-
-    /// The release time of the pause window containing `t` on `shard`,
-    /// strictly greater than `t` by construction (`at <= t < until`).
-    fn pause_release(&self, shard: usize, t: u64) -> Option<u64> {
-        self.pauses[shard]
-            .iter()
-            .find(|&&(at, until)| at <= t && t < until)
-            .map(|&(_, until)| until)
-    }
-
-    /// Clears the pending entry behind an acknowledged packet, unless the
-    /// acknowledgement itself is lost (drawn at the message drop rate).
-    fn maybe_ack(&mut self, id: u32) {
+    /// The sender-side half of a delivery: clears the pending entry behind
+    /// an acknowledged packet, unless the acknowledgement itself is lost
+    /// (drawn at the message drop rate). Acks of packets no longer pending
+    /// draw nothing.
+    pub(crate) fn ack(&mut self, id: u32) {
         if !self.pending.contains_key(&id) {
             return;
         }
@@ -612,12 +759,16 @@ impl<P: Clone> FaultState<P> {
     }
 }
 
-impl<P: Snap> FaultState<P> {
+impl<P: Snap + Clone> FaultState<P> {
     /// Serializes the dynamic fault-layer state. Plan-derived fields
     /// (`track`, the pause windows, the worker-fault schedule) are rebuilt
     /// from the plan by [`FaultState::new`] and not recorded; the RNG
     /// resumes from its raw state, so fault draws continue exactly where
-    /// they left off.
+    /// they left off. The shard-local halves are recorded the way one
+    /// global table would be: the dedup ids as their ascending union, the
+    /// worker-fault cursors as one cursor over the `(at, shard)` schedule
+    /// (every fault at or before the clock has fired on every shard, so
+    /// the consumed faults are always a prefix of it), the counters summed.
     pub(crate) fn save_state(&self) -> Value {
         let error = self.error.as_ref().map(|e| match *e {
             ClusterError::LinkTimeout {
@@ -628,15 +779,26 @@ impl<P: Snap> FaultState<P> {
             } => (from, to, at, attempts),
             _ => unreachable!("only LinkTimeout is ever recorded here"),
         });
+        let restored = self.shards.first().map(|s| &*s.restored);
+        let mut delivered: Vec<u32> = restored
+            .into_iter()
+            .flatten()
+            .chain(self.shards.iter().flat_map(|s| &s.delivered))
+            .copied()
+            .collect();
+        delivered.sort_unstable();
+        let wf_next: usize = self.shards.iter().map(|s| s.wf_next).sum();
         Enc::new()
             .put(&self.rng.state())
             .put(&self.next_id)
             .put(&self.pending)
             .put(&self.deadlines)
-            .put(&self.delivered)
-            .put(&self.deferred)
-            .put(&self.wf_next)
-            .put(&self.counters)
+            .put(&delivered)
+            .val(Value::Arr(
+                self.shards.iter().map(|s| s.deferred.save()).collect(),
+            ))
+            .put(&wf_next)
+            .put(&self.counters())
             .put(&error)
             .done()
     }
@@ -656,13 +818,26 @@ impl<P: Snap> FaultState<P> {
         self.next_id = d.get()?;
         self.pending = d.get()?;
         self.deadlines = d.get()?;
-        self.delivered = d.get()?;
-        self.deferred = d.table("deferred queue", self.deferred.len())?;
-        self.wf_next = d.get()?;
-        if self.wf_next > self.worker_faults.len() {
+        let restored = Arc::new(d.get::<HashSet<u32>>()?);
+        let deferred: Vec<VecDeque<(u64, Packet<P>)>> =
+            d.table("deferred queue", self.shards.len())?;
+        let wf_next: usize = d.get()?;
+        let mut schedule = self.plan.worker_faults.clone();
+        schedule.sort_unstable_by_key(|f| (f.at, f.shard));
+        let Some(consumed) = schedule.get(..wf_next) else {
             return Err(SnapError::new(
                 "fault state: worker-fault cursor out of range",
             ));
+        };
+        for (s, q) in self.shards.iter_mut().zip(deferred) {
+            s.deferred = q;
+            s.delivered.clear();
+            s.restored = Arc::clone(&restored);
+            s.wf_next = 0;
+            s.counters = FaultCounters::default();
+        }
+        for f in consumed {
+            self.shards[f.shard as usize].wf_next += 1;
         }
         self.counters = d.get()?;
         self.error =
@@ -695,12 +870,23 @@ mod tests {
             .collect()
     }
 
-    fn drain_at<P: Clone>(links: &mut [Link<Packet<P>>], s: usize, t: u64) -> Vec<Packet<P>> {
-        let mut out = Vec::new();
-        while let Some(p) = links[s].pop_delivery_at(t) {
-            out.push(p);
+    /// The serial pump's delivery step at shard `s`: every arrival through
+    /// the shared helper, each ack applied back to back. Returns the
+    /// payloads handed to the engine.
+    fn arrive(
+        f: &mut FaultState<u32>,
+        links: &mut [Link<Packet<u32>>],
+        s: usize,
+        t: u64,
+    ) -> Vec<u32> {
+        let mut got = Vec::new();
+        while let Some(a) = next_arrival(&mut links[s], Some(f.shard_mut(s)), t) {
+            if a.ack {
+                f.ack(a.id);
+            }
+            got.extend(a.msg);
         }
-        out
+        got
     }
 
     #[test]
@@ -713,9 +899,10 @@ mod tests {
         // Nothing can fault this message, so it is untracked: no retry
         // deadline feeds the event clock.
         assert!(f.next_time().is_none());
-        let pkt = ls[1].pop_delivery_at(7).expect("delivered");
-        assert_eq!(pkt.id, 0, "untracked sends take the plain path");
-        assert_eq!(f.receive(1, 7, pkt), Some(7));
+        let a = next_arrival(&mut ls[1], Some(f.shard_mut(1)), 7).expect("delivered");
+        assert_eq!(a.id, 0, "untracked sends take the plain path");
+        assert!(!a.ack, "untracked packets ask for no ack");
+        assert_eq!(a.msg, Some(7));
         assert_eq!(f.counters(), FaultCounters::default());
         // The RNG was never advanced.
         assert_eq!(f.rng.clone().next_u64(), SplitMix64::new(1).next_u64());
@@ -734,9 +921,11 @@ mod tests {
             Some(7 + 256),
             "the deadline sits strictly after the delivery"
         );
-        let pkt = ls[1].pop_delivery_at(7).expect("delivered");
-        assert!(pkt.id != 0, "tracked sends carry a packet id");
-        assert_eq!(f.receive(1, 7, pkt), Some(7));
+        let a = next_arrival(&mut ls[1], Some(f.shard_mut(1)), 7).expect("delivered");
+        assert!(a.id != 0, "tracked sends carry a packet id");
+        assert_eq!((a.msg, a.ack), (Some(7), true));
+        assert_eq!(f.next_time(), Some(7 + 256), "the lane side draws nothing");
+        f.ack(a.id);
         assert!(f.next_time().is_none(), "ack clears the deadline eagerly");
     }
 
@@ -759,9 +948,7 @@ mod tests {
                 .flatten()
                 .min()
                 .expect("work pending");
-            for pkt in drain_at(&mut ls, 1, t) {
-                assert!(f.receive(1, t, pkt).is_none(), "all copies drop");
-            }
+            assert!(arrive(&mut f, &mut ls, 1, t).is_empty(), "all copies drop");
             retries += f.pump_retries(t, &mut ls).len();
         }
         assert_eq!(retries, 2);
@@ -788,9 +975,7 @@ mod tests {
         assert_eq!(ls[1].in_flight(), 2, "duplicate occupies a second slot");
         let mut got = Vec::new();
         for t in [7u64, 9] {
-            for pkt in drain_at(&mut ls, 1, t) {
-                got.extend(f.receive(1, t, pkt));
-            }
+            got.extend(arrive(&mut f, &mut ls, 1, t));
         }
         assert_eq!(got, vec![42], "dedup passes exactly one copy");
         assert_eq!(f.counters().redeliveries, 1);
@@ -803,27 +988,29 @@ mod tests {
         let mut f: FaultState<u32> = FaultState::new(plan, 2);
         let mut ls = links(2);
         f.send(0, 0, 1, 11, 1, &mut ls);
-        let pkt = ls[1].pop_delivery_at(7).expect("delivered");
-        assert_eq!(f.receive(1, 7, pkt), None, "paused shard defers");
+        assert!(
+            arrive(&mut f, &mut ls, 1, 7).is_empty(),
+            "paused shard defers"
+        );
         assert_eq!(f.next_time(), Some(50), "release feeds the event clock");
-        assert!(f.pop_deferred(1, 49).is_none());
-        let pkt = f.pop_deferred(1, 50).expect("released");
-        assert_eq!(f.receive(1, 50, pkt), Some(11));
+        assert!(arrive(&mut f, &mut ls, 1, 49).is_empty());
+        assert_eq!(arrive(&mut f, &mut ls, 1, 50), vec![11], "released");
         assert_eq!(f.counters(), FaultCounters::default());
     }
 
     #[test]
-    fn worker_faults_pop_in_time_order() {
+    fn worker_faults_fire_per_shard_in_time_order() {
         let plan = FaultPlan::new(0)
             .with_worker_fault(1, 30)
             .with_worker_fault(0, 10);
         let mut f: FaultState<u32> = FaultState::new(plan, 2);
         assert_eq!(f.next_time(), Some(10));
-        assert_eq!(f.due_worker_fault(5), None);
-        assert_eq!(f.due_worker_fault(10), Some(0));
-        assert_eq!(f.due_worker_fault(10), None);
+        assert!(!f.shard_mut(0).due_worker_fault(5));
+        assert!(!f.shard_mut(1).due_worker_fault(10));
+        assert!(f.shard_mut(0).due_worker_fault(10));
+        assert!(!f.shard_mut(0).due_worker_fault(10));
         assert_eq!(f.next_time(), Some(30));
-        assert_eq!(f.due_worker_fault(100), Some(1));
+        assert!(f.shard_mut(1).due_worker_fault(100));
         assert!(f.next_time().is_none());
     }
 

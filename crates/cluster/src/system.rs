@@ -35,7 +35,7 @@ mod par_drive;
 mod snap;
 
 use crate::config::{home_shard, ClusterConfig, ClusterError, ShardPolicy};
-use crate::fault::{FaultCounters, FaultPlan, FaultState, Packet};
+use crate::fault::{next_arrival, FaultCounters, FaultPlan, FaultState, Packet};
 use picos_core::{FinishedReq, PicosSystem, SlotRef, Stats};
 use picos_hil::Link;
 use picos_metrics::span::{SpanKind, SpanLog};
@@ -261,10 +261,7 @@ impl ClusterSession {
         }
         if let Some(c) = self.fault_counters() {
             let base = 1 + 2 * self.cfg.shards;
-            out[base] = c.drops;
-            out[base + 1] = c.retries;
-            out[base + 2] = c.redeliveries;
-            out[base + 3] = c.recoveries;
+            out[base..base + 4].copy_from_slice(&c.series());
         }
     }
 
@@ -344,7 +341,7 @@ impl ClusterSession {
     fn start_task(&mut self, s: usize, task: u32, slot: SlotRef) {
         let st = self.t + self.cfg.dispatch;
         let dur = self.durs[task as usize];
-        let end = if self.restarts.remove(&task) {
+        let end = if !self.restarts.is_empty() && self.restarts.remove(&task) {
             // A fail-stop fault killed the first execution; the restart
             // replaces its schedule entry instead of appending a new one.
             self.log.rebegin(task, st, dur)
@@ -531,15 +528,17 @@ impl EventLoopCore for ClusterSession {
         // task re-enters the execution queue for deterministic
         // re-execution), then due retry deadlines.
         if let Some(f) = faults.as_mut() {
-            while let Some(sh) = f.due_worker_fault(t) {
-                let s = sh as usize;
-                if let Some((task, slot)) = self.workers[s].fail_one() {
-                    self.local_slot[task as usize] = slot;
-                    self.restarts.insert(task);
-                    self.exec_q[s].push_back(task);
-                    f.note_recovery();
-                    if let Some(log) = &mut self.spans {
-                        log.record(SpanKind::Fault, t, sh, task, 0);
+            for s in 0..k {
+                let sf = f.shard_mut(s);
+                while sf.due_worker_fault(t) {
+                    if let Some((task, slot)) = self.workers[s].fail_one() {
+                        self.local_slot[task as usize] = slot;
+                        self.restarts.insert(task);
+                        self.exec_q[s].push_back(task);
+                        sf.note_recovery();
+                        if let Some(log) = &mut self.spans {
+                            log.record(SpanKind::Fault, t, s as u16, task, 0);
+                        }
                     }
                 }
             }
@@ -573,25 +572,19 @@ impl EventLoopCore for ClusterSession {
         }
         // Interconnect deliveries: pause-released deferrals first (they
         // arrived earlier), then fresh arrivals, each through the fault
-        // layer's receive path when one is attached.
+        // layer's shard-local receive path when one is attached, with the
+        // sender's ack applied right behind it.
         for s in 0..k {
-            if let Some(f) = faults.as_mut() {
-                while let Some(pkt) = f.pop_deferred(s, t) {
-                    let id = pkt.id;
-                    if let Some(msg) = f.receive(s, t, pkt) {
-                        self.deliver(s, msg, id);
-                    }
+            while let Some(a) = next_arrival(
+                &mut self.links[s],
+                faults.as_mut().map(|f| f.shard_mut(s)),
+                t,
+            ) {
+                if a.ack {
+                    faults.as_mut().expect("acks need a fault layer").ack(a.id);
                 }
-            }
-            while let Some(pkt) = self.links[s].pop_delivery_at(t) {
-                let id = pkt.id;
-                match faults.as_mut() {
-                    Some(f) => {
-                        if let Some(msg) = f.receive(s, t, pkt) {
-                            self.deliver(s, msg, id);
-                        }
-                    }
-                    None => self.deliver(s, pkt.msg, id),
+                if let Some(msg) = a.msg {
+                    self.deliver(s, msg, a.id);
                 }
             }
         }
@@ -824,7 +817,7 @@ pub fn merged_stats(per_shard: &[Stats]) -> Stats {
 mod tests {
     use super::*;
     use picos_runtime::session::{feed_range, feed_trace};
-    use picos_trace::{gen, TaskGraph, Trace};
+    use picos_trace::{gen, TaskGraph, Trace, Value};
 
     /// A batch run: opens a session, feeds the whole trace and finishes.
     fn run(trace: &Trace, cfg: &ClusterConfig) -> Result<(ExecReport, Vec<Stats>), ClusterError> {
@@ -1012,10 +1005,11 @@ mod tests {
 
     #[test]
     fn threaded_epoch_loop_matches_inline() {
-        // Force real OS threads past the available-parallelism cap so the
-        // barrier/coordinator path runs even on a one-core machine. The
-        // variable is process-global, but its only effect is choosing the
-        // threaded loop, which is result-identical by design.
+        // Force real OS threads past the available-parallelism cap (and
+        // past the loop probe) so the barrier/coordinator path runs even
+        // on a one-core machine. The variable is process-global, but its
+        // only effect is choosing the threaded loop, which is
+        // result-identical by design.
         std::env::set_var("PICOS_CLUSTER_FORCE_THREADS", "1");
         let tr = gen::stream(gen::StreamConfig::heavy(400));
         let serial = run(&tr, &ClusterConfig::balanced(4, 12)).unwrap();
@@ -1292,6 +1286,41 @@ mod tests {
         let mut faulted = ClusterSession::new(faulted_cfg, SessionConfig::batch()).unwrap();
         let err = faulted.load_state(&snap).unwrap_err().to_string();
         assert!(err.contains("cluster config"), "got: {err}");
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_task_tables() {
+        // Corruptions that pass every decode and fingerprint check but
+        // would panic the engine when driven must fail the restore instead.
+        let tr = gen::sparselu(gen::SparseLuConfig::paper(128));
+        let cfg = ClusterConfig::balanced(3, 9);
+        let mut live = ClusterSession::new(cfg.clone(), SessionConfig::windowed(16)).unwrap();
+        feed_range(&mut live, &tr, 0..40).unwrap();
+        let snap = live.save_state();
+        let corrupt = |field: usize, edit: &dyn Fn(&mut Vec<Value>)| {
+            let mut v = snap.clone();
+            let Value::Arr(fields) = &mut v else {
+                unreachable!("a session record is an array")
+            };
+            let Value::Arr(items) = &mut fields[field] else {
+                unreachable!("field {field} is a table")
+            };
+            edit(items);
+            let mut target = ClusterSession::new(cfg.clone(), SessionConfig::windowed(16)).unwrap();
+            target.load_state(&v).map(|()| target)
+        };
+        // Field 18 is `durs`, field 11 `placement`.
+        let err = corrupt(18, &|durs| {
+            durs.pop();
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("durs"), "got: {err}");
+        let err = corrupt(11, &|placement| placement[0] = Value::Int(3)).unwrap_err();
+        assert!(err.to_string().contains("shard 3 of 3"), "got: {err}");
+        // The untouched record still restores and finishes.
+        let mut restored = corrupt(18, &|_| {}).expect("intact snapshot restores");
+        feed_range(&mut restored, &tr, 40..tr.len()).unwrap();
+        restored.into_output().unwrap();
     }
 
     #[test]

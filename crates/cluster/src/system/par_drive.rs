@@ -48,14 +48,26 @@
 //! there — so those arrays ride in `DisjointSlice`s under the same
 //! contract with task-granular ownership.
 //!
+//! An attached fault layer splits the same way: each lane owns its
+//! shard's [`ShardFaults`] (pause deferral, drop discard, dedup, worker
+//! faults), buffers acks as keyed records beside its sends, and draws
+//! nothing. The coordinator replays sends and acks through the sender-side
+//! [`FaultState`] in key order, firing each retry deadline at its own
+//! cycle ahead of the records at or after it. A deadline set during an
+//! epoch lies past its end — it follows the message's arrival, which is at
+//! least `L` after the send — so only deadlines pending at the epoch's
+//! start fire in its merge, and the planner counts the next one as an
+//! event.
+//!
 //! The engine is *observationally* identical for any thread count
-//! (including the inline path used when only one core is available),
-//! because lane scheduling never influences what a lane computes — only
-//! the merge order does, and that is sorted.
+//! (including the inline loop used when only one core is available, or
+//! when the loop probe measures it faster — see [`Pace`]), because lane
+//! scheduling never influences what a lane computes — only the merge
+//! order does, and that is sorted.
 
 use super::{min_next, ClusterMsg, ClusterSession};
 use crate::config::ClusterError;
-use crate::fault::Packet;
+use crate::fault::{next_arrival, FaultState, LinkSet, Packet, ShardFaults};
 use picos_core::{FinishedReq, PicosSystem, SlotRef};
 use picos_hil::Link;
 use picos_metrics::span::{SpanKind, SpanLog};
@@ -63,27 +75,40 @@ use picos_metrics::WindowSampler;
 use picos_runtime::par::{available_threads, DisjointSlice, PhaseCell, SpinBarrier};
 use picos_runtime::session::{EventLog, EventLoopCore, ScheduleLog, SimEvent};
 use picos_trace::{Dependence, TaskId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-/// Pump-phase tags, in serial pump order at one event time: worker
-/// completions (`Finish` sends, `TaskFinished` events) come before
-/// execution (`Ready` sends, `TaskStarted` events). Deliveries and ingress
-/// sit between but emit nothing, so two tags suffice.
-const PH_FINISH: u8 = 0;
-const PH_EXEC: u8 = 1;
+/// Pump-phase tags, in serial pump order at one event time: retries
+/// (fired by the coordinator), worker completions (`Finish` sends,
+/// `TaskFinished` events), deliveries (acks), then execution (`Ready`
+/// sends, `TaskStarted` events). Ingress emits nothing.
+const PH_RETRY: u8 = 0;
+const PH_FINISH: u8 = 1;
+const PH_DELIVER: u8 = 2;
+const PH_EXEC: u8 = 3;
 
-/// A buffered cross-shard send, replayed at the epoch barrier.
-struct OutMsg {
+/// A sender-side operation a lane buffers for the coordinator.
+enum Op {
+    /// A cross-shard send.
+    Send {
+        dest: u16,
+        words: u32,
+        msg: ClusterMsg,
+    },
+    /// An acknowledgement of the delivered packet id.
+    Ack(u32),
+}
+
+/// A buffered sender-side operation, replayed at the epoch barrier.
+struct OutRec {
     t: u64,
     round: u32,
     phase: u8,
     src: u16,
-    dest: u16,
     seq: u32,
-    words: u32,
-    msg: ClusterMsg,
+    op: Op,
 }
 
 /// A task start recorded by a lane, merged into the global schedule log.
@@ -95,6 +120,9 @@ struct StartRec {
     task: u32,
     start: u64,
     dur: u64,
+    /// A re-execution after a fail-stop fault: it replaces the killed
+    /// execution's schedule entry.
+    restart: bool,
 }
 
 /// A simulation event recorded by a lane, merged into the global stream.
@@ -127,6 +155,20 @@ struct World<'a> {
     test_panic: Option<u16>,
 }
 
+impl World<'_> {
+    /// Returns every per-task cell to unclaimed, so a lane may move to
+    /// another thread.
+    ///
+    /// # Safety
+    ///
+    /// No lane may be running: the coordinator-between-barriers position.
+    unsafe fn release_claims(&self) {
+        self.frag_ready.as_mut_slice();
+        self.local_popped.as_mut_slice();
+        self.local_slot.as_mut_slice();
+    }
+}
+
 /// One shard's private simulation state: exactly the per-shard columns of
 /// [`ClusterSession`], plus the epoch buffers.
 struct Lane {
@@ -138,7 +180,11 @@ struct Lane {
     arrived: HashMap<u32, Arc<[Dependence]>>,
     slot_at: HashMap<u32, SlotRef>,
     exec_q: VecDeque<u32>,
-    outbox: Vec<OutMsg>,
+    /// The shard-local half of the fault layer, lent for the drive.
+    faults: Option<ShardFaults<ClusterMsg>>,
+    /// Tasks placed here whose first execution a fail-stop fault killed.
+    restarts: HashSet<u32>,
+    outbox: Vec<OutRec>,
     starts: Vec<StartRec>,
     events: Vec<EvRec>,
     /// Lane-local span recorder (present iff the session records spans).
@@ -151,6 +197,8 @@ struct Lane {
     now: u64,
     /// Per-epoch emission counter behind every record's `seq`.
     seq: u32,
+    /// Pumps run this drive: the unit of lane work the loop probe times.
+    pumps: u64,
 }
 
 /// The coordinator's exclusive borrows of the session's global state,
@@ -158,9 +206,15 @@ struct Lane {
 struct MergeState<'a> {
     log: &'a mut ScheduleLog,
     events: &'a mut EventLog,
+    spans: Option<&'a mut SpanLog>,
+    /// The fault layer's sender side; its shard-local halves ride in the
+    /// lanes.
+    faults: Option<&'a mut FaultState<ClusterMsg>>,
     link_sent: &'a mut [u64],
     finished: &'a mut usize,
     clock: &'a mut u64,
+    /// End of the epoch being merged (0 before the first).
+    end: u64,
     /// The cluster-level telemetry sampler, advanced at epoch *planning*
     /// time: the merged global state there is exactly the state after
     /// every event before the epoch's start, which is what the serial
@@ -170,7 +224,7 @@ struct MergeState<'a> {
     sampler: Option<&'a mut WindowSampler>,
     /// Per-shard worker capacity, for the occupancy probe.
     caps: Vec<usize>,
-    sends: Vec<OutMsg>,
+    outs: Vec<OutRec>,
     starts: Vec<StartRec>,
     evs: Vec<EvRec>,
 }
@@ -182,12 +236,49 @@ struct Ctl {
     done: bool,
 }
 
+/// Epochs each timed stretch of the loop probe spans, and the epochs run
+/// untimed before it while the lanes' working sets move to their thread.
+const PROBE_EPOCHS: u32 = 256;
+const PROBE_WARMUP: u32 = 32;
+
+/// The pace of an epoch loop: wall time per lane pump since a start point.
+///
+/// Whether spreading lanes over threads pays depends on the host (what the
+/// cross-core hand-off of lane buffers at every barrier costs) and on the
+/// workload (how much lane work an epoch holds). Results are identical
+/// either way, so a threaded drive measures before it commits: it times
+/// the inline loop, then the threaded one, then the inline one again, and
+/// keeps threads only when they beat both inline stretches around them.
+/// Counting pumps makes stretches of different density comparable, and
+/// the bracket guards against the per-pump cost drifting while the probe
+/// runs (it falls steeply at the start of many runs).
+struct Pace {
+    start: Instant,
+    pumps: u64,
+}
+
+impl Pace {
+    fn start(lanes: &[Lane]) -> Self {
+        Pace {
+            start: Instant::now(),
+            pumps: lanes.iter().map(|l| l.pumps).sum(),
+        }
+    }
+
+    /// Nanoseconds per lane pump since the start.
+    fn ns_per_pump(&self, lanes: &[Lane]) -> f64 {
+        let pumps: u64 = lanes.iter().map(|l| l.pumps).sum();
+        self.start.elapsed().as_nanos() as f64 / (pumps - self.pumps).max(1) as f64
+    }
+}
+
 impl Lane {
     fn next_time(&self) -> Option<u64> {
         min_next([
             self.sys.next_event_time(),
             self.workers.next_done(),
             self.link.next_delivery(),
+            self.faults.as_ref().and_then(ShardFaults::next_time),
         ])
     }
 
@@ -205,23 +296,42 @@ impl Lane {
             }
             round = if t == cur { round + 1 } else { 0 };
             cur = t;
+            self.pumps += 1;
             self.pump_at(t, round, w);
         }
     }
 
-    fn out(&mut self, t: u64, round: u32, phase: u8, dest: u16, words: usize, msg: ClusterMsg) {
+    fn out(&mut self, t: u64, round: u32, phase: u8, op: Op) {
         let seq = self.seq;
         self.seq += 1;
-        self.outbox.push(OutMsg {
+        self.outbox.push(OutRec {
             t,
             round,
             phase,
             src: self.id,
-            dest,
             seq,
-            words: words as u32,
-            msg,
+            op,
         });
+    }
+
+    /// Buffers a cross-shard send plus its `ShardMsg` event.
+    fn send(&mut self, t: u64, round: u32, phase: u8, dest: u16, msg: ClusterMsg, w: &World<'_>) {
+        self.out(
+            t,
+            round,
+            phase,
+            Op::Send {
+                dest,
+                words: 1,
+                msg,
+            },
+        );
+        let ev = SimEvent::ShardMsg {
+            from: self.id,
+            to: dest,
+            at: t,
+        };
+        self.event(t, round, phase, ev, w);
     }
 
     fn event(&mut self, t: u64, round: u32, phase: u8, ev: SimEvent, w: &World<'_>) {
@@ -253,6 +363,7 @@ impl Lane {
             task,
             start,
             dur,
+            restart: !self.restarts.is_empty() && self.restarts.remove(&task),
         });
         self.event(
             t,
@@ -269,8 +380,9 @@ impl Lane {
     }
 
     /// The serial pump body restricted to this shard, at one of its own
-    /// event times — minus the Distributor (drained before epochs begin),
-    /// with cross-shard sends buffered instead of sent. Phase structure
+    /// event times — minus the Distributor (drained before epochs begin)
+    /// and the fault layer's sender side, with cross-shard sends and acks
+    /// buffered for the coordinator instead of applied. Phase structure
     /// and within-phase statement order mirror `ClusterSession::pump`
     /// exactly; keep the two in lockstep.
     fn pump_at(&mut self, t: u64, round: u32, w: &World<'_>) {
@@ -278,6 +390,23 @@ impl Lane {
         self.sys.advance_to(t);
         let mut touched = false;
         let s = self.id;
+        // Fail-stop worker faults: a killed in-flight task re-enters the
+        // execution queue for deterministic re-execution.
+        if let Some(f) = &mut self.faults {
+            while f.due_worker_fault(t) {
+                if let Some((task, slot)) = self.workers.fail_one() {
+                    // SAFETY: a task runs on its placement shard, whose
+                    // lane owns its readiness cells — this one.
+                    unsafe { *w.local_slot.get(task as usize) = slot };
+                    self.restarts.insert(task);
+                    self.exec_q.push_back(task);
+                    f.note_recovery();
+                    if let Some(log) = &mut self.spans {
+                        log.record(SpanKind::Fault, t, s, task, 0);
+                    }
+                }
+            }
+        }
         // Worker completions: notify the local shard now, remote fragment
         // shards at the barrier.
         while let Some((task, slot)) = self.workers.pop_done_at(t) {
@@ -287,21 +416,7 @@ impl Lane {
             });
             for ri in 0..w.remote[task as usize].len() {
                 let r = w.remote[task as usize][ri].0;
-                self.out(t, round, PH_FINISH, r, 1, ClusterMsg::Finish { task });
-                self.event(
-                    t,
-                    round,
-                    PH_FINISH,
-                    SimEvent::ShardMsg {
-                        from: s,
-                        to: r,
-                        at: t,
-                    },
-                    w,
-                );
-                if let Some(log) = &mut self.spans {
-                    log.record(SpanKind::MsgSend, t, s, task, 0);
-                }
+                self.send(t, round, PH_FINISH, r, ClusterMsg::Finish { task }, w);
             }
             self.finished += 1;
             self.event(
@@ -316,19 +431,19 @@ impl Lane {
             }
             touched = true;
         }
-        // Interconnect deliveries (sent at least one epoch ago). The
-        // parallel engine only ever runs without a fault layer, so every
-        // packet is plain and unwraps directly.
-        while let Some(pkt) = self.link.pop_delivery_at(t) {
-            if let Some(log) = &mut self.spans {
-                let task = match &pkt.msg {
-                    ClusterMsg::Register { task, .. }
-                    | ClusterMsg::Ready { task }
-                    | ClusterMsg::Finish { task } => *task,
-                };
-                log.record(SpanKind::MsgDeliver, t, s, task, pkt.id);
+        // Interconnect deliveries (sent at least one epoch ago), through
+        // the shard-local receive path; acks go to the coordinator.
+        while let Some(a) = next_arrival(&mut self.link, self.faults.as_mut(), t) {
+            if a.ack {
+                self.out(t, round, PH_DELIVER, Op::Ack(a.id));
             }
-            match pkt.msg {
+            let Some(msg) = a.msg else {
+                continue;
+            };
+            if let Some(log) = &mut self.spans {
+                log.record(SpanKind::MsgDeliver, t, s, msg.task(), a.id);
+            }
+            match msg {
                 ClusterMsg::Register { task, deps } => {
                     self.arrived.insert(task, deps);
                 }
@@ -392,22 +507,14 @@ impl Lane {
                 // shard at the barrier.
                 let rt = self.sys.pop_ready().expect("peeked");
                 self.slot_at.insert(task, rt.slot);
-                let p = w.placement[ti];
-                self.out(t, round, PH_EXEC, p, 1, ClusterMsg::Ready { task });
-                self.event(
+                self.send(
                     t,
                     round,
                     PH_EXEC,
-                    SimEvent::ShardMsg {
-                        from: s,
-                        to: p,
-                        at: t,
-                    },
+                    w.placement[ti],
+                    ClusterMsg::Ready { task },
                     w,
                 );
-                if let Some(log) = &mut self.spans {
-                    log.record(SpanKind::MsgSend, t, s, task, 0);
-                }
                 continue;
             }
             // SAFETY (all three cells): placement-lane-owned.
@@ -440,9 +547,17 @@ impl Lane {
     }
 }
 
+/// The coordinator reaches lane links while replaying sends and retries.
+impl LinkSet<ClusterMsg> for [Lane] {
+    fn link(&mut self, to: u16) -> &mut Link<Packet<ClusterMsg>> {
+        &mut self[to as usize].link
+    }
+}
+
 /// Picks the next epoch window, or `None` when every lane is quiescent or
-/// past `bound`: start at the global minimum next event, end `lookahead`
-/// later (clamped so events exactly at `bound` still run).
+/// past `bound`: start at the global minimum next event (a lane event or
+/// a retry deadline), end `lookahead` later (clamped so events exactly at
+/// `bound` still run).
 ///
 /// Telemetry rides on the planning point. The serial engine samples every
 /// crossed window boundary in `set_clock`, *before* the pump at the new
@@ -453,28 +568,36 @@ impl Lane {
 /// epoch end is then clamped to the next boundary, which keeps every
 /// future boundary on a planning point too.
 fn plan_epoch(lanes: &[Lane], m: &mut MergeState<'_>, lookahead: u64, bound: u64) -> Option<u64> {
-    let tmin = lanes.iter().filter_map(Lane::next_time).min()?;
+    let deadline = m.faults.as_deref().and_then(FaultState::next_deadline);
+    let tmin = min_next(lanes.iter().map(Lane::next_time).chain([deadline]))?;
     if tmin > bound {
         return None;
     }
     let mut end = tmin.saturating_add(lookahead).min(bound.saturating_add(1));
     if let Some(sampler) = m.sampler.as_deref_mut() {
         if sampler.due(tmin) {
-            let (caps, link_sent) = (&m.caps, &*m.link_sent);
-            sampler.advance(tmin, |out| probe_lanes(lanes, caps, link_sent, out));
+            let (caps, link_sent, faults) = (&m.caps, &*m.link_sent, m.faults.as_deref());
+            sampler.advance(tmin, |out| probe_lanes(lanes, caps, link_sent, faults, out));
         }
         // `next_boundary() > tmin` always (advance leaves it strictly
         // ahead), so the clamp never stalls the epoch loop.
         end = end.min(sampler.next_boundary());
     }
+    m.end = end;
     Some(end)
 }
 
 /// The cluster-level telemetry probe over lane-held state, in the exact
 /// series order of the serial `probe_cluster`: summed worker occupancy,
-/// then per-link flight count and cumulative traffic. The fault series
-/// never appear here — faulted sessions always run the serial engine.
-fn probe_lanes(lanes: &[Lane], caps: &[usize], link_sent: &[u64], out: &mut [u64]) {
+/// per-link flight count and cumulative traffic, then — under a fault
+/// layer — the four fault counters, the sender's plus every lane's.
+fn probe_lanes(
+    lanes: &[Lane],
+    caps: &[usize],
+    link_sent: &[u64],
+    faults: Option<&FaultState<ClusterMsg>>,
+    out: &mut [u64],
+) {
     out[0] = lanes
         .iter()
         .zip(caps)
@@ -484,39 +607,106 @@ fn probe_lanes(lanes: &[Lane], caps: &[usize], link_sent: &[u64], out: &mut [u64
         out[1 + 2 * s] = lane.link.in_flight() as u64;
         out[2 + 2 * s] = link_sent[s];
     }
+    if let Some(f) = faults {
+        let mut c = f.counters();
+        for lf in lanes.iter().filter_map(|l| l.faults.as_ref()) {
+            c.add(&lf.counters());
+        }
+        let base = 1 + 2 * lanes.len();
+        out[base..base + 4].copy_from_slice(&c.series());
+    }
+}
+
+/// Fires every retry deadline before `before`, each at its own cycle —
+/// where the serial pump, which stops at every deadline, fires it ahead of
+/// all other work. A deadline set during an epoch falls past its end (the
+/// message arrives no earlier than `send + lookahead`, the deadline after
+/// that), so only deadlines pending at the epoch's start ever fire here.
+fn fire_retries(lanes: &mut [Lane], m: &mut MergeState<'_>, before: u64) {
+    let Some(f) = m.faults.as_deref_mut() else {
+        return;
+    };
+    while let Some(d) = f.next_deadline().filter(|&d| d < before) {
+        for (seq, (from, to)) in f.pump_retries(d, lanes).into_iter().enumerate() {
+            m.link_sent[to as usize] += 1;
+            if m.events.is_enabled() {
+                m.evs.push(EvRec {
+                    t: d,
+                    round: 0,
+                    phase: PH_RETRY,
+                    lane: 0,
+                    seq: seq as u32,
+                    ev: SimEvent::ShardMsg { from, to, at: d },
+                });
+            }
+            if let Some(log) = m.spans.as_deref_mut() {
+                log.record(SpanKind::MsgRetry, d, from, u32::MAX, 0);
+            }
+        }
+        *m.clock = (*m.clock).max(d);
+    }
 }
 
 /// Replays one epoch's buffered emissions in serial-pump order.
 fn merge_epoch(lanes: &mut [Lane], m: &mut MergeState<'_>) {
-    m.sends.clear();
+    m.outs.clear();
     m.starts.clear();
     m.evs.clear();
     for lane in lanes.iter_mut() {
-        m.sends.append(&mut lane.outbox);
+        m.outs.append(&mut lane.outbox);
         m.starts.append(&mut lane.starts);
         m.evs.append(&mut lane.events);
         *m.finished += lane.finished;
         lane.finished = 0;
         *m.clock = (*m.clock).max(lane.now);
     }
-    // The serial pump's send order into every link: time, then pump round,
+    // The serial pump's order of sends and acks: time, then pump round,
     // then phase, then sender shard, then the sender's emission order.
     // Replaying in that order reproduces each link's free_at/seq evolution
-    // (and so every delivery time) bit-for-bit.
-    m.sends
+    // (and so every delivery time) and every fault draw bit-for-bit, with
+    // each retry deadline fired ahead of the work at or after its cycle.
+    m.outs
         .sort_unstable_by_key(|o| (o.t, o.round, o.phase, o.src, o.seq));
-    for o in m.sends.drain(..) {
-        m.link_sent[o.dest as usize] += 1;
-        lanes[o.dest as usize]
-            .link
-            .send_words(o.t, Packet::plain(o.msg), o.words as usize);
+    let mut outs = std::mem::take(&mut m.outs);
+    for o in outs.drain(..) {
+        fire_retries(lanes, m, o.t + 1);
+        match o.op {
+            Op::Send { dest, words, msg } => {
+                m.link_sent[dest as usize] += 1;
+                let task = msg.task();
+                let words = words as usize;
+                let id = match m.faults.as_deref_mut() {
+                    Some(f) => f.send(o.t, o.src, dest, msg, words, lanes),
+                    None => {
+                        lanes[dest as usize]
+                            .link
+                            .send_words(o.t, Packet::plain(msg), words);
+                        0
+                    }
+                };
+                if let Some(log) = m.spans.as_deref_mut() {
+                    log.record(SpanKind::MsgSend, o.t, o.src, task, id);
+                }
+            }
+            Op::Ack(id) => m
+                .faults
+                .as_deref_mut()
+                .expect("acks need a fault layer")
+                .ack(id),
+        }
     }
+    m.outs = outs;
+    fire_retries(lanes, m, m.end);
     // All starts happen in the execution phase, so the schedule-log key
     // needs no phase component.
     m.starts
         .sort_unstable_by_key(|r| (r.t, r.round, r.lane, r.seq));
     for r in m.starts.drain(..) {
-        m.log.begin(r.task, r.start, r.dur);
+        if r.restart {
+            m.log.rebegin(r.task, r.start, r.dur);
+        } else {
+            m.log.begin(r.task, r.start, r.dur);
+        }
     }
     m.evs
         .sort_unstable_by_key(|e| (e.t, e.round, e.phase, e.lane, e.seq));
@@ -526,15 +716,44 @@ fn merge_epoch(lanes: &mut [Lane], m: &mut MergeState<'_>) {
 }
 
 /// The epoch loop on the caller's thread — the engine when only one core
-/// (or one configured thread) is effectively available. Identical results
-/// to the threaded loop: scheduling never influences what a lane computes.
-fn run_inline(lanes: &mut [Lane], world: &World<'_>, m: &mut MergeState<'_>, la: u64, bound: u64) {
-    while let Some(end) = plan_epoch(lanes, m, la, bound) {
+/// (or one configured thread) is effectively available, or when it
+/// measured faster than the threaded loop. Identical results to the
+/// threaded loop: scheduling never influences what a lane computes. Runs
+/// at most `limit` epochs; returns whether it stopped at that limit.
+fn run_inline(
+    lanes: &mut [Lane],
+    world: &World<'_>,
+    m: &mut MergeState<'_>,
+    la: u64,
+    bound: u64,
+    limit: u32,
+) -> bool {
+    for _ in 0..limit {
+        let Some(end) = plan_epoch(lanes, m, la, bound) else {
+            return false;
+        };
         for lane in lanes.iter_mut() {
             lane.run_epoch(end, world);
         }
         merge_epoch(lanes, m);
     }
+    true
+}
+
+/// Times [`PROBE_EPOCHS`] inline epochs after [`PROBE_WARMUP`] untimed ones:
+/// their [`Pace`] in ns per lane pump, or `None` when the drive ends first.
+fn inline_pace(
+    lanes: &mut [Lane],
+    world: &World<'_>,
+    m: &mut MergeState<'_>,
+    la: u64,
+    bound: u64,
+) -> Option<f64> {
+    if !run_inline(lanes, world, m, la, bound, PROBE_WARMUP) {
+        return None;
+    }
+    let pace = Pace::start(lanes);
+    run_inline(lanes, world, m, la, bound, PROBE_EPOCHS).then(|| pace.ns_per_pump(lanes))
 }
 
 /// The panic payload as a message, for [`ClusterError::LanePanic`].
@@ -563,6 +782,9 @@ fn note_panic(note: &Mutex<Option<String>>, p: Box<dyn std::any::Any + Send>) {
 /// coordinator *and* drives lane chunk 0; two barrier waits delimit each
 /// epoch: plan → **barrier** → compute → **barrier** → merge/plan …
 ///
+/// Runs at most `limit` epochs. Returns whether it stopped there and, if
+/// so, its [`Pace`] after [`PROBE_WARMUP`] epochs.
+///
 /// A panicking lane (or coordinator) is *caught*: the catcher records the
 /// first panic message, poisons the barrier so every other participant
 /// unblocks (their poison panics are caught and discarded in turn), and
@@ -575,12 +797,14 @@ fn run_threaded(
     la: u64,
     bound: u64,
     threads: usize,
-) -> Option<String> {
+    limit: u32,
+) -> Result<Option<f64>, String> {
     let chunk = lanes.len().div_ceil(threads);
     let barrier = SpinBarrier::new(threads);
     let ctl = PhaseCell::new(Ctl::default());
     let shared = DisjointSlice::new(lanes);
     let note: Mutex<Option<String>> = Mutex::new(None);
+    let mut stopped = None;
     std::thread::scope(|scope| {
         for tid in 1..threads {
             let lo = tid * chunk;
@@ -610,6 +834,8 @@ fn run_threaded(
                 }
             });
         }
+        let mut epochs = 0u32;
+        let mut pace = None;
         let coordinate = || loop {
             // SAFETY: every worker is parked at (or headed to) the first
             // barrier and touches no shared state until it releases — the
@@ -617,17 +843,21 @@ fn run_threaded(
             let done = unsafe {
                 let all = shared.as_mut_slice();
                 merge_epoch(all, m);
-                let c = ctl.get();
-                match plan_epoch(all, m, la, bound) {
-                    Some(end) => {
-                        *c = Ctl { end, done: false };
-                        false
-                    }
-                    None => {
-                        *c = Ctl { end: 0, done: true };
-                        true
-                    }
+                if epochs == PROBE_WARMUP {
+                    pace = Some(Pace::start(all));
                 }
+                let planned = if epochs == limit {
+                    stopped = Some(pace.as_ref().map_or(0.0, |p: &Pace| p.ns_per_pump(all)));
+                    None
+                } else {
+                    plan_epoch(all, m, la, bound)
+                };
+                epochs += 1;
+                *ctl.get() = Ctl {
+                    end: planned.unwrap_or(0),
+                    done: planned.is_none(),
+                };
+                planned.is_none()
             };
             barrier.wait();
             if done {
@@ -635,7 +865,7 @@ fn run_threaded(
             }
             // SAFETY: written before the barrier, stable until the next.
             let end = unsafe { ctl.get() }.end;
-            for i in 0..chunk.min(shared.len()) {
+            for i in 0..chunk {
                 // SAFETY: lane chunk 0 is thread 0's during compute.
                 unsafe { shared.get(i) }.run_epoch(end, world);
             }
@@ -646,7 +876,10 @@ fn run_threaded(
             barrier.poison();
         }
     });
-    note.into_inner().unwrap_or_else(|e| e.into_inner())
+    match note.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        Some(detail) => Err(detail),
+        None => Ok(stopped),
+    }
 }
 
 impl ClusterSession {
@@ -663,23 +896,21 @@ impl ClusterSession {
     /// * more than one configured thread and more than one shard;
     /// * nonzero lookahead (a zero-cost interconnect leaves no safe
     ///   window);
-    /// * no fault plan — the fault layer's ack/retry and pause bookkeeping
-    ///   is global state threaded through every pump, so faulted sessions
-    ///   run the serial reference engine (bit-identical by the same
-    ///   conformance that pins the parallel engine);
     /// * no caught lane panic — a dead session must not be driven.
     ///
-    /// A telemetry sampler does *not* force the serial engine: the
-    /// cluster's windowed series probe global state, but only ever at
-    /// window boundaries, and the epoch planner clamps every epoch to the
-    /// next boundary — so each boundary is observed at a planning point,
-    /// where the merged global state equals the serial engine's (see
-    /// [`plan_epoch`]).
+    /// A fault plan does *not* force the serial engine: its shard-local
+    /// half (pause deferral, drop discard, dedup, worker faults) runs in
+    /// the lanes, and every random draw and sender-side table update
+    /// (sends, acks, retries) replays in the merge in serial pump order.
+    /// A telemetry sampler does not either: the cluster's windowed series
+    /// probe global state, but only ever at window boundaries, and the
+    /// epoch planner clamps every epoch to the next boundary — so each
+    /// boundary is observed at a planning point, where the merged global
+    /// state equals the serial engine's (see [`plan_epoch`]).
     pub(super) fn par_eligible(&self) -> bool {
         self.cfg.threads > 1
             && self.cfg.shards > 1
             && self.lookahead() > 0
-            && self.faults.is_none()
             && self.engine_err.is_none()
     }
 
@@ -717,6 +948,14 @@ impl ClusterSession {
         let mut arrived = std::mem::take(&mut self.arrived).into_iter();
         let mut slot_at = std::mem::take(&mut self.slot_at).into_iter();
         let mut exec_q = std::mem::take(&mut self.exec_q).into_iter();
+        let mut shard_faults = self.faults.as_mut().map(|f| f.take_shards().into_iter());
+        // A killed task's restart flag moves to its placement lane, where
+        // the task re-executes.
+        let mut restarts = vec![HashSet::new(); k];
+        for task in self.restarts.drain() {
+            restarts[self.placement[task as usize] as usize].insert(task);
+        }
+        let mut restarts = restarts.into_iter();
         let mut lanes: Vec<Lane> = (0..k)
             .map(|id| Lane {
                 id: id as u16,
@@ -727,6 +966,8 @@ impl ClusterSession {
                 arrived: arrived.next().expect("k shards"),
                 slot_at: slot_at.next().expect("k shards"),
                 exec_q: exec_q.next().expect("k shards"),
+                faults: shard_faults.as_mut().map(|it| it.next().expect("k shards")),
+                restarts: restarts.next().expect("k shards"),
                 outbox: Vec::new(),
                 starts: Vec::new(),
                 events: Vec::new(),
@@ -734,6 +975,7 @@ impl ClusterSession {
                 finished: 0,
                 now: self.t,
                 seq: 0,
+                pumps: 0,
             })
             .collect();
         let world = World {
@@ -752,33 +994,69 @@ impl ClusterSession {
         let mut merge = MergeState {
             log: &mut self.log,
             events: &mut self.events,
+            spans: self.spans.as_mut(),
+            faults: self.faults.as_deref_mut(),
             link_sent: &mut self.link_sent,
             finished: &mut self.ingest.finished,
             clock: &mut self.t,
+            end: 0,
             sampler: self.sampler.as_mut(),
             caps,
-            sends: Vec::new(),
+            outs: Vec::new(),
             starts: Vec::new(),
             evs: Vec::new(),
         };
         // The configured count caps OS threads; the machine caps them
         // further (spawning beyond the cores only adds barrier traffic,
-        // and results are identical for any thread count). Setting
-        // PICOS_CLUSTER_FORCE_THREADS skips the machine cap so the
-        // threaded path is exercised even on starved boxes.
+        // and results are identical for any thread count), and the probe
+        // keeps threads only where they measure faster. Setting
+        // PICOS_CLUSTER_FORCE_THREADS skips the machine cap and the probe
+        // so the threaded path runs whole drives even on starved boxes.
+        let forced = std::env::var_os("PICOS_CLUSTER_FORCE_THREADS").is_some();
         let mut threads = self.cfg.threads.min(k).max(1);
-        if std::env::var_os("PICOS_CLUSTER_FORCE_THREADS").is_none() {
+        if !forced {
             threads = threads.min(available_threads());
         }
-        let panic_note = if threads <= 1 {
-            catch_unwind(AssertUnwindSafe(|| {
-                run_inline(&mut lanes, &world, &mut merge, lookahead, bound)
-            }))
-            .err()
-            .map(panic_message)
-        } else {
-            run_threaded(&mut lanes, &world, &mut merge, lookahead, bound, threads)
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let (w, m) = (&world, &mut merge);
+            if threads > 1 && !forced {
+                // The loop probe (see [`Pace`]): inline, threaded, inline.
+                let Some(before) = inline_pace(&mut lanes, w, m, lookahead, bound) else {
+                    return Ok(None);
+                };
+                // SAFETY: no lane is running; the threads start below.
+                unsafe { w.release_claims() };
+                let probe = PROBE_WARMUP + PROBE_EPOCHS;
+                let Some(threaded) =
+                    run_threaded(&mut lanes, w, m, lookahead, bound, threads, probe)?
+                else {
+                    return Ok(None);
+                };
+                // SAFETY: the probe's threads have exited.
+                unsafe { w.release_claims() };
+                let Some(after) = inline_pace(&mut lanes, w, m, lookahead, bound) else {
+                    return Ok(None);
+                };
+                if threaded >= before.min(after) {
+                    run_inline(&mut lanes, w, m, lookahead, bound, u32::MAX);
+                    return Ok(None);
+                }
+                // SAFETY: no lane is running; the threads start below.
+                unsafe { w.release_claims() };
+            }
+            if threads > 1 {
+                run_threaded(&mut lanes, w, m, lookahead, bound, threads, u32::MAX)
+            } else {
+                run_inline(&mut lanes, w, m, lookahead, bound, u32::MAX);
+                Ok(None)
+            }
+        }));
+        let panic_note = match outcome {
+            Ok(Ok(_)) => None,
+            Ok(Err(detail)) => Some(detail),
+            Err(p) => Some(panic_message(p)),
         };
+        let mut shard_faults = Vec::new();
         for lane in lanes {
             self.sys.push(lane.sys);
             self.workers.push(lane.workers);
@@ -787,9 +1065,14 @@ impl ClusterSession {
             self.arrived.push(lane.arrived);
             self.slot_at.push(lane.slot_at);
             self.exec_q.push(lane.exec_q);
+            shard_faults.extend(lane.faults);
+            self.restarts.extend(lane.restarts);
             if let (Some(log), Some(lane_log)) = (self.spans.as_mut(), lane.spans) {
                 log.extend_from(&lane_log);
             }
+        }
+        if let Some(f) = self.faults.as_mut() {
+            f.return_shards(shard_faults);
         }
         if let Some(detail) = panic_note {
             // Lane state past the panic point is unspecified — even the

@@ -125,8 +125,9 @@ impl ClusterSession {
     ///
     /// Returns [`SnapError`] on a malformed record, when the snapshot was
     /// taken under a different cluster configuration, fault plan or
-    /// observation setup, or when it holds a TM slot the configuration
-    /// does not have. The session must then be discarded.
+    /// observation setup, when its per-task tables disagree with the
+    /// admitted task count, or when it holds a shard index, task id or TM
+    /// slot out of range. The session must then be discarded.
     pub fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let k = self.cfg.shards;
         let mut d = Dec::new(v, "cluster session")?;
@@ -173,7 +174,74 @@ impl ClusterSession {
             }
         }
         self.engine_err = None;
+        self.check_tables()?;
         self.check_slots()
+    }
+
+    /// Checks that the per-task tables cover exactly the admitted tasks and
+    /// that every shard index and task id the driver holds is in range, so
+    /// a restore that passed never panics when driven.
+    fn check_tables(&self) -> Result<(), SnapError> {
+        let n = self.ingest.admitted;
+        let k = self.cfg.shards;
+        let lens = [
+            ("placement", self.placement.len()),
+            ("local", self.local.len()),
+            ("remote", self.remote.len()),
+            ("frag_total", self.frag_total.len()),
+            ("frag_ready", self.frag_ready.len()),
+            ("local_popped", self.local_popped.len()),
+            ("local_slot", self.local_slot.len()),
+            ("durs", self.durs.len()),
+            ("schedule start", self.log.start.len()),
+            ("schedule end", self.log.end.len()),
+        ];
+        if let Some((name, len)) = lens.into_iter().find(|&(_, len)| len != n) {
+            return Err(SnapError::new(format!(
+                "cluster session: {len} {name} entries for {n} admitted tasks"
+            )));
+        }
+        let counts = self
+            .frag_total
+            .iter()
+            .zip(&self.frag_ready)
+            .zip(&self.remote);
+        if counts
+            .into_iter()
+            .any(|((&total, &ready), frags)| total as usize != 1 + frags.len() || ready > total)
+        {
+            return Err(SnapError::new(
+                "cluster session: fragment counts disagree with the plan",
+            ));
+        }
+        let homes = self.placement.iter().copied().chain(
+            self.remote
+                .iter()
+                .flat_map(|frags| frags.iter().map(|&(h, _)| h)),
+        );
+        if let Some(h) = homes.into_iter().find(|&h| h as usize >= k) {
+            return Err(SnapError::new(format!("cluster session: shard {h} of {k}")));
+        }
+        if self.next_feed > n {
+            return Err(SnapError::new(format!(
+                "cluster session: feed cursor {} past {n} admitted tasks",
+                self.next_feed
+            )));
+        }
+        let tasks = self
+            .expected
+            .iter()
+            .flatten()
+            .chain(self.exec_q.iter().flatten())
+            .chain(self.arrived.iter().flat_map(|m| m.keys()))
+            .chain(self.slot_at.iter().flat_map(|m| m.keys()))
+            .chain(self.restarts.iter());
+        if let Some(task) = tasks.into_iter().find(|&&t| t as usize >= n) {
+            return Err(SnapError::new(format!(
+                "cluster session: task {task} of {n} admitted"
+            )));
+        }
+        Ok(())
     }
 
     /// Checks every TM slot the driver holds outside the shard cores.

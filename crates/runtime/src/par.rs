@@ -1,16 +1,16 @@
-//! Shared-nothing parallel vocabulary: the primitives behind the sweep
-//! harness's `par_map` and the cluster's epoch-parallel shard lanes.
+//! Shared-nothing parallel vocabulary: the primitives behind the
+//! cluster's epoch-parallel shard lanes.
 //!
 //! The build environment has no crates.io access, so there is no `rayon`
 //! and no `crossbeam`: everything here is built on `std::thread::scope`,
 //! atomics and `UnsafeCell`. Three pieces:
 //!
 //! * [`DisjointSlice`] — a slice whose elements are mutated from several
-//!   threads under a *disjoint-index* contract. It backs the write-once
-//!   result slots of `par_map` (each index claimed by exactly one thread
-//!   through an atomic cursor) and the cluster's shard lanes (each lane
-//!   owned by one worker thread during an epoch, by the coordinator
-//!   between epochs).
+//!   threads under a *disjoint-index* contract. It backs the cluster's
+//!   shard lanes (each lane owned by one worker thread during an epoch,
+//!   by the coordinator between epochs) and their per-task readiness
+//!   state (each task's cells owned by its placement lane's thread).
+//!   Debug builds check the contract with per-element claim tags.
 //! * [`PhaseCell`] — a single value handed back and forth between threads
 //!   at barrier-separated phases (the epoch control block).
 //! * [`SpinBarrier`] — a sense-reversing spinning barrier with panic
@@ -19,6 +19,8 @@
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicU64;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A slice shared across threads under a disjoint-access contract.
@@ -35,26 +37,41 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 /// must happen across a synchronisation point (a barrier wait, a scoped
 /// join, an atomic acquire/release pair) so the writes are visible.
 ///
-/// The two users in this workspace satisfy it structurally:
+/// Between two [`DisjointSlice::as_mut_slice`] calls an index belongs to
+/// the first thread that calls `get` on it; debug builds tag each element
+/// with that thread and panic when another thread claims it. Release
+/// builds carry no tags.
 ///
-/// * `par_map` result slots: indices are claimed through a shared atomic
-///   cursor (`fetch_add`), so no two threads ever see the same index; the
-///   scoped join publishes the writes back to the caller.
-/// * cluster shard lanes and per-task state: each lane (and each task's
-///   readiness state, owned by the task's placement shard) is touched by
-///   exactly one worker thread during an epoch's compute phase, and only
-///   by the coordinator between the two barrier waits that delimit it.
+/// The cluster's epoch engine satisfies the contract structurally: each
+/// lane (and each task's readiness state, owned by the task's placement
+/// lane) is touched by exactly one worker thread during an epoch's
+/// compute phase, and only by the coordinator — through `as_mut_slice` —
+/// between the two barrier waits that delimit it.
 pub struct DisjointSlice<'a, T> {
     ptr: *mut T,
     len: usize,
     _marker: PhantomData<&'a mut [T]>,
+    /// Per-element owner tags (0 = unclaimed), debug builds only.
+    #[cfg(debug_assertions)]
+    owners: Box<[AtomicU64]>,
+}
+
+/// A nonzero tag naming the calling thread, for the debug claim check.
+#[cfg(debug_assertions)]
+fn thread_tag() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local! {
+        static TAG: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+    TAG.with(|t| *t)
 }
 
 // SAFETY: sending `&DisjointSlice` to another thread only grants access
 // through the `unsafe` accessors, whose contract (disjoint indices,
 // synchronised hand-off) is exactly what makes cross-thread `&mut T`
 // sound. `T: Send` is required because elements are mutated from (and
-// may be dropped on) threads other than the owner's.
+// may be dropped on) threads other than the owner's. The debug claim
+// tags are atomics, safe to share as they are.
 unsafe impl<T: Send> Sync for DisjointSlice<'_, T> {}
 unsafe impl<T: Send> Send for DisjointSlice<'_, T> {}
 
@@ -65,6 +82,8 @@ impl<'a, T> DisjointSlice<'a, T> {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
             _marker: PhantomData,
+            #[cfg(debug_assertions)]
+            owners: slice.iter().map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -88,14 +107,30 @@ impl<'a, T> DisjointSlice<'a, T> {
     ///
     /// # Panics
     ///
-    /// Panics when `i` is out of bounds.
+    /// Panics when `i` is out of bounds, and in debug builds when another
+    /// thread claimed `i` since the last [`DisjointSlice::as_mut_slice`].
     #[allow(clippy::mut_from_ref)] // the whole point, governed by the contract
     pub unsafe fn get(&self, i: usize) -> &mut T {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
+        // The tags publish no data (the contract's synchronisation point
+        // orders every hand-off), so relaxed ordering suffices.
+        #[cfg(debug_assertions)]
+        {
+            let me = thread_tag();
+            if let Err(owner) =
+                self.owners[i].compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                assert!(
+                    owner == me,
+                    "DisjointSlice index {i} claimed by two threads"
+                );
+            }
+        }
         &mut *self.ptr.add(i)
     }
 
-    /// The whole slice, mutably.
+    /// The whole slice, mutably. Clears every element's claim, so the
+    /// next epoch's threads may claim afresh.
     ///
     /// # Safety
     ///
@@ -104,6 +139,10 @@ impl<'a, T> DisjointSlice<'a, T> {
     /// position, when all worker threads are parked.
     #[allow(clippy::mut_from_ref)] // the whole point, governed by the contract
     pub unsafe fn as_mut_slice(&self) -> &mut [T] {
+        #[cfg(debug_assertions)]
+        for owner in self.owners.iter() {
+            owner.store(0, Ordering::Relaxed);
+        }
         std::slice::from_raw_parts_mut(self.ptr, self.len)
     }
 }
@@ -253,7 +292,7 @@ mod tests {
 
     #[test]
     fn disjoint_slice_cursor_claims_are_exclusive() {
-        // The par_map shape: an atomic cursor hands out indices, each
+        // A work-queue shape: an atomic cursor hands out indices, each
         // written exactly once from whichever thread claimed it.
         let mut out = vec![0u64; 1000];
         let cursor = AtomicUsize::new(0);
@@ -309,7 +348,7 @@ mod tests {
                         if barrier.wait() {
                             // SAFETY: every worker is parked between the
                             // two waits; the leader owns all lanes.
-                            let sum: u64 = (0..THREADS).map(|i| unsafe { *shared.get(i) }).sum();
+                            let sum: u64 = unsafe { shared.as_mut_slice() }.iter().sum();
                             total.store(sum, Ordering::Release);
                         }
                         barrier.wait();
@@ -319,6 +358,31 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn disjoint_slice_debug_claims_catch_a_second_thread() {
+        let mut v = vec![0u32; 2];
+        let s = DisjointSlice::new(&mut v);
+        let second = std::thread::scope(|scope| {
+            // SAFETY (both threads): the joins order the two accesses; the
+            // second one breaks the one-owner-per-claim contract on
+            // purpose, which the debug tags must catch.
+            scope.spawn(|| unsafe { *s.get(0) = 1 }).join().unwrap();
+            scope.spawn(|| unsafe { *s.get(0) = 2 }).join()
+        });
+        let msg = second.expect_err("a second thread's claim must panic");
+        let msg = msg.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("claimed by two threads"), "got: {msg}");
+        // The coordinator's whole-slice access resets the claims.
+        // SAFETY: no other thread holds an element.
+        assert_eq!(unsafe { s.as_mut_slice() }, &[1, 0]);
+        std::thread::scope(|scope| {
+            // SAFETY: index 0 is unclaimed again; one thread takes it.
+            scope.spawn(|| unsafe { *s.get(0) = 3 }).join().unwrap();
+        });
+        assert_eq!(v, [3, 0]);
     }
 
     #[test]

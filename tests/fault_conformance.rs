@@ -13,11 +13,14 @@
 //!   step/drain/advance interleavings, and for the crash-recovery shape
 //!   (replay the journal, then keep feeding live).
 //!
-//! Faulted runs themselves are pinned on determinism: the same plan over
-//! the same trace twice gives identical schedules, counters and errors.
+//! Faulted runs themselves are pinned on determinism — the same plan over
+//! the same trace twice gives identical schedules, counters and errors —
+//! and on engine identity: the epoch engine at any thread count
+//! reproduces the serial pump's whole output under random active plans,
+//! in batch and windowed drives and across snapshots.
 
-use picos_backend::{feed_trace, Admission, BackendSpec, SessionConfig, SessionCore};
-use picos_cluster::{ClusterConfig, ClusterError, ClusterSession, FaultPlan};
+use picos_backend::{feed_trace, Admission, BackendSpec, SessionConfig, SessionCore, SimEvent};
+use picos_cluster::{ClusterConfig, ClusterError, ClusterOutput, ClusterSession, FaultPlan};
 use picos_core::{DmDesign, PicosConfig, Stats};
 use picos_runtime::{replay_journal, ExecReport, JournaledSession};
 use picos_trace::rng::SplitMix64;
@@ -187,6 +190,204 @@ fn faulted_runs_are_deterministic_and_counted() {
         }
         (a, b) => panic!("nondeterministic outcome: {a:?} vs {b:?}"),
     }
+}
+
+/// Shards of the engine-identity cluster: two workers each, so a
+/// fail-stop fault always leaves one.
+const ID_SHARDS: usize = 8;
+
+/// A seeded random active plan, drawn like
+/// `capacity_and_failure::random_fault_plans_always_terminate`: drop,
+/// duplication and jitter rates, a tight timeout and retry budget, maybe a
+/// pause window and a few worker faults.
+fn random_plan(seed: u64) -> FaultPlan {
+    let mut rng = SplitMix64::new(0x5EED_FA17 ^ seed);
+    let mut plan = FaultPlan::new(rng.next_u64())
+        .with_drop_rate(rng.f64() * 0.3)
+        .with_dup_rate(rng.f64() * 0.3)
+        .with_jitter(rng.f64() * 0.5, rng.range_u64(1, 64))
+        .with_link_timeout(rng.range_u64(32, 2048))
+        .with_max_retries(rng.range_u64(1, 6) as u32);
+    if rng.bool(0.7) {
+        let at = rng.range_u64(0, 20_000);
+        let shard = rng.range_u64(0, ID_SHARDS as u64 - 1) as u16;
+        plan = plan.with_pause(shard, at, at + rng.range_u64(1, 20_000));
+    }
+    for shard in 0..ID_SHARDS as u16 {
+        if rng.bool(0.3) {
+            plan = plan.with_worker_fault(shard, rng.range_u64(0, 10_000));
+        }
+    }
+    plan
+}
+
+/// The identity pins' plans: random active ones plus a jitter-only plan,
+/// which never engages the ack/retry tables (the untracked send path).
+fn identity_plans() -> Vec<FaultPlan> {
+    let mut plans: Vec<FaultPlan> = (0..6).map(random_plan).collect();
+    plans.push(FaultPlan::new(77).with_jitter(0.4, 32));
+    plans
+}
+
+/// The identity pins' input for plan `i`: random graphs and the
+/// message-heavy stream generator, alternately.
+fn identity_trace(i: usize) -> Trace {
+    if i.is_multiple_of(2) {
+        gen::random_trace(gen::RandomConfig::default(), i as u64)
+    } else {
+        gen::stream(gen::StreamConfig::heavy(300))
+    }
+}
+
+/// Spans in canonical order: serial and parallel drives record the same
+/// multiset in different interleavings.
+fn canonical(mut out: Result<ClusterOutput, ClusterError>) -> Result<ClusterOutput, ClusterError> {
+    if let Ok((.., Some(spans))) = out.as_mut() {
+        spans.canonical_sort();
+    }
+    out
+}
+
+type Drive = (Result<ClusterOutput, ClusterError>, Vec<SimEvent>);
+
+/// The batch drive with every observer on: the whole trace admitted at
+/// once, then bounded advances (draining events) until nothing is in
+/// flight or the clock passes a cap (an exhausted retry budget leaves
+/// tasks in flight forever), then the unbounded finish.
+fn batch_drive(trace: &Trace, cfg: &ClusterConfig) -> Drive {
+    let scfg = SessionConfig {
+        collect_events: true,
+        ..SessionConfig::batch().with_timeline(256).with_spans()
+    };
+    let mut s = ClusterSession::new(cfg.clone(), scfg).expect("valid config");
+    feed_trace(&mut s, trace).expect("batch window cannot stall");
+    let mut events = Vec::new();
+    while s.in_flight() > 0 && s.now() < 1_000_000 {
+        s.advance_to(s.now() + 7_919);
+        s.drain_events(&mut events);
+    }
+    (canonical(s.into_output()), events)
+}
+
+/// Feeds `tasks` through `submit`/`step` with an occasional bounded
+/// advance, draining events as it goes. Stops early when a backpressured
+/// session cannot progress (a retry budget ran out).
+fn windowed_feed(
+    s: &mut ClusterSession,
+    tasks: &[&picos_trace::TaskDescriptor],
+    events: &mut Vec<SimEvent>,
+) {
+    for (i, task) in tasks.iter().enumerate() {
+        while s.submit(task) == Admission::Backpressured {
+            if !s.step() {
+                return;
+            }
+        }
+        if i.is_multiple_of(23) {
+            s.advance_to(s.now() + 600);
+        }
+        s.drain_events(events);
+    }
+}
+
+/// The streaming drive: a 16-task window fed through `submit`/`step`.
+fn windowed_drive(trace: &Trace, cfg: &ClusterConfig) -> Drive {
+    let scfg = SessionConfig {
+        collect_events: true,
+        ..SessionConfig::windowed(16)
+    };
+    let mut s = ClusterSession::new(cfg.clone(), scfg).expect("valid config");
+    let tasks: Vec<_> = trace.iter().collect();
+    let mut events = Vec::new();
+    windowed_feed(&mut s, &tasks, &mut events);
+    (canonical(s.into_output()), events)
+}
+
+#[test]
+fn faulted_epoch_engine_is_bit_identical_to_serial() {
+    // The serial pump at one thread is the reference; the epoch engine
+    // must reproduce its whole output — report, counters, timeline, fault
+    // counters, spans — and its event stream, or fail with the same typed
+    // error. Under CLUSTER_TEST_THREADS the engine runs on exactly those
+    // thread counts (CI forces real OS threads that way).
+    let threads: Vec<usize> = match std::env::var("CLUSTER_TEST_THREADS") {
+        Ok(_) => test_thread_counts(),
+        Err(_) => vec![2, 4],
+    };
+    let mut injected = picos_cluster::FaultCounters::default();
+    for (i, plan) in identity_plans().into_iter().enumerate() {
+        let trace = identity_trace(i);
+        let cfg = ClusterConfig::balanced(ID_SHARDS, 2 * ID_SHARDS).with_faults(plan.clone());
+        for (name, drive) in [
+            ("batch", batch_drive as fn(&Trace, &ClusterConfig) -> Drive),
+            ("windowed", windowed_drive),
+        ] {
+            let serial = drive(&trace, &cfg);
+            if let Ok((.., counters, _)) = &serial.0 {
+                let c = counters.expect("active plans report counters");
+                injected.drops += c.drops;
+                injected.redeliveries += c.redeliveries;
+                injected.recoveries += c.recoveries;
+            }
+            for &t in &threads {
+                let par = drive(&trace, &cfg.clone().with_threads(t));
+                assert!(
+                    par.0 == serial.0,
+                    "plan {i} ({plan:?}) {name} t{t}: output differs from serial"
+                );
+                assert!(
+                    par.1 == serial.1,
+                    "plan {i} {name} t{t}: event stream differs from serial"
+                );
+            }
+        }
+    }
+    assert!(
+        injected.drops > 0 && injected.redeliveries > 0 && injected.recoveries > 0,
+        "the plans must drop, redeliver and recover for this to test anything: {injected:?}"
+    );
+}
+
+#[test]
+fn faulted_snapshot_from_threads_restores_on_one_thread() {
+    let trace = gen::stream(gen::StreamConfig::heavy(300));
+    let tasks: Vec<_> = trace.iter().collect();
+    let (first, rest) = tasks.split_at(tasks.len() / 2);
+    let plan = FaultPlan::new(11)
+        .with_drop_rate(0.05)
+        .with_dup_rate(0.05)
+        .with_jitter(0.2, 8)
+        .with_pause(1, 400, 900)
+        .with_worker_fault(0, 700);
+    let cfg = ClusterConfig::balanced(ID_SHARDS, 2 * ID_SHARDS).with_faults(plan);
+    let scfg = SessionConfig::windowed(16).with_timeline(64).with_spans();
+    let par_cfg = cfg.clone().with_threads(4);
+    let mut events = Vec::new();
+
+    let mut live = ClusterSession::new(par_cfg.clone(), scfg).expect("valid config");
+    windowed_feed(&mut live, first, &mut events);
+    live.advance_to(live.now() + 1_000);
+    let text = picos_trace::snap::value_to_json(&live.save_state());
+    let snap = picos_trace::snap::value_from_json(&text).expect("codec roundtrips");
+
+    let mut restored = ClusterSession::new(cfg, scfg).expect("valid config");
+    restored.load_state(&snap).expect("snapshot restores");
+    windowed_feed(&mut live, rest, &mut events);
+    windowed_feed(&mut restored, rest, &mut events);
+    let a = canonical(live.into_output());
+    let b = canonical(restored.into_output());
+    assert!(
+        a == b,
+        "restored serial run differs from the threaded original"
+    );
+    let c = a
+        .expect("the plan's budget suffices")
+        .3
+        .expect("active plan");
+    assert!(
+        c.drops + c.retries + c.redeliveries + c.recoveries > 0,
+        "the plan must actually inject faults for this to test anything"
+    );
 }
 
 /// A fresh 4-shard cluster session for the journal pins.
