@@ -240,10 +240,7 @@ fn main() {
     // workload. The parallel engine is bit-identical to serial, so
     // this measures pure wall-clock: the epoch engine's O(events)
     // processing against the serial driver's O(shards)-per-event pump
-    // scans, plus real threads when the host has cores to give and they
-    // measure faster (the thread count clamps to available parallelism,
-    // and the engine's loop probe keeps threads only where they beat its
-    // inline loop).
+    // scans (the epoch engine runs its lanes inline on one OS thread).
     // A third side measures the fault layer's zero-fault overhead: a
     // cluster with an attached all-zero-rates FaultPlan runs the exact
     // same schedule bit-identically (pinned below), so the delta vs the

@@ -97,10 +97,13 @@ pub struct ClusterConfig {
     /// cycle-identical to `HilMode::HwOnly`.
     pub dispatch: u64,
     /// Simulation threads for the conservative-parallel event engine
-    /// (default `1` = the serial reference engine). Values above one run
-    /// shard lanes on scoped OS threads, bit-identical to serial with or
-    /// without a fault plan; at most one thread per shard is ever useful,
-    /// so `threads > shards` is rejected by [`ClusterConfig::validate`].
+    /// (default `1` = the serial reference engine). Values above one select
+    /// the epoch engine, bit-identical to serial with or without a fault
+    /// plan. It runs its shard lanes on the caller's thread, which measured
+    /// faster than scoped OS threads on the hosts tried so far; setting
+    /// `PICOS_CLUSTER_FORCE_THREADS` spreads them over `threads` OS
+    /// threads. At most one thread per shard is ever useful, so
+    /// `threads > shards` is rejected by [`ClusterConfig::validate`].
     pub threads: usize,
     /// Deterministic fault schedule, or `None` for the fault-free engine.
     /// Attaching a plan arms the interconnect's ack/timeout/retry protocol;
@@ -126,7 +129,7 @@ impl ClusterConfig {
         }
     }
 
-    /// The same cluster simulated by `threads` OS threads (see
+    /// The same cluster simulated with `threads` simulation threads (see
     /// [`ClusterConfig::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

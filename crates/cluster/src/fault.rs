@@ -67,7 +67,6 @@ use picos_trace::rng::SplitMix64;
 use picos_trace::snap::{Dec, Enc, Snap, SnapError};
 use picos_trace::Value;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 /// A shard ingress pause window: deliveries into `shard` arriving at
 /// `at <= t < until` are deferred to `until` (a straggler shard whose
@@ -424,9 +423,6 @@ pub(crate) struct ShardFaults<P> {
     /// Packet ids first delivered here. A packet id only ever travels to
     /// one shard, so per-shard dedup is global dedup.
     delivered: HashSet<u32>,
-    /// The dedup table restored from a snapshot, which does not record the
-    /// shard of each id; shared read-only by every shard.
-    restored: Arc<HashSet<u32>>,
     /// This shard's worker-fault cycles, ascending, consumed through a
     /// cursor.
     worker_faults: Vec<u64>,
@@ -481,7 +477,7 @@ impl<P> ShardFaults<P> {
             self.counters.drops += 1;
             return consumed(false);
         }
-        if id != 0 && (self.restored.contains(&id) || !self.delivered.insert(id)) {
+        if id != 0 && !self.delivered.insert(id) {
             self.counters.redeliveries += 1;
             return consumed(true);
         }
@@ -524,21 +520,18 @@ pub(crate) struct FaultState<P> {
     /// The shard-local halves, index = shard. Empty while a parallel
     /// drive has lent them to its lanes.
     shards: Vec<ShardFaults<P>>,
-    /// Retries, plus every counter restored from a snapshot (shard
-    /// counters restart at zero on restore; only the sum is observable).
-    counters: FaultCounters,
+    /// Timeout-triggered resends (the one counter the sender keeps).
+    retries: u64,
     error: Option<ClusterError>,
 }
 
 impl<P: Clone> FaultState<P> {
     pub(crate) fn new(plan: FaultPlan, shards: usize) -> Self {
-        let restored = Arc::new(HashSet::new());
         let mut per_shard: Vec<ShardFaults<P>> = (0..shards)
             .map(|_| ShardFaults {
                 pauses: Vec::new(),
                 deferred: VecDeque::new(),
                 delivered: HashSet::new(),
-                restored: Arc::clone(&restored),
                 worker_faults: Vec::new(),
                 wf_next: 0,
                 counters: FaultCounters::default(),
@@ -561,7 +554,7 @@ impl<P: Clone> FaultState<P> {
             pending: HashMap::new(),
             deadlines: BTreeSet::new(),
             shards: per_shard,
-            counters: FaultCounters::default(),
+            retries: 0,
             error: None,
             plan,
         }
@@ -577,7 +570,10 @@ impl<P: Clone> FaultState<P> {
     /// The run's fault counters: the sender's plus every shard's held
     /// here (a parallel drive adds its lanes' own).
     pub(crate) fn counters(&self) -> FaultCounters {
-        let mut c = self.counters;
+        let mut c = FaultCounters {
+            retries: self.retries,
+            ..FaultCounters::default()
+        };
         for s in &self.shards {
             c.add(&s.counters);
         }
@@ -732,7 +728,7 @@ impl<P: Clone> FaultState<P> {
                 }
                 continue;
             }
-            self.counters.retries += 1;
+            self.retries += 1;
             let snapshot = p.clone();
             let deadline = self.transmit(t, id, &snapshot, links);
             let p = self.pending.get_mut(&id).expect("present above");
@@ -759,16 +755,40 @@ impl<P: Clone> FaultState<P> {
     }
 }
 
+impl<P: Snap> ShardFaults<P> {
+    /// Serializes this shard's dynamic state; the pause windows and the
+    /// worker-fault schedule are rebuilt from the plan.
+    fn save_state(&self) -> Value {
+        Enc::new()
+            .put(&self.deferred)
+            .put(&self.delivered)
+            .put(&self.wf_next)
+            .put(&self.counters)
+            .done()
+    }
+
+    /// Overwrites the dynamic state from [`ShardFaults::save_state`] output.
+    fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
+        let mut d = Dec::new(v, "shard faults")?;
+        self.deferred = d.get()?;
+        self.delivered = d.get()?;
+        self.wf_next = d.get()?;
+        if self.wf_next > self.worker_faults.len() {
+            return Err(SnapError::new(
+                "shard faults: worker-fault cursor out of range",
+            ));
+        }
+        self.counters = d.get()?;
+        Ok(())
+    }
+}
+
 impl<P: Snap + Clone> FaultState<P> {
-    /// Serializes the dynamic fault-layer state. Plan-derived fields
-    /// (`track`, the pause windows, the worker-fault schedule) are rebuilt
-    /// from the plan by [`FaultState::new`] and not recorded; the RNG
-    /// resumes from its raw state, so fault draws continue exactly where
-    /// they left off. The shard-local halves are recorded the way one
-    /// global table would be: the dedup ids as their ascending union, the
-    /// worker-fault cursors as one cursor over the `(at, shard)` schedule
-    /// (every fault at or before the clock has fired on every shard, so
-    /// the consumed faults are always a prefix of it), the counters summed.
+    /// Serializes the dynamic fault-layer state: the sender side, then one
+    /// record per shard. Plan-derived fields (`track`, the pause windows,
+    /// the worker-fault schedule) are rebuilt from the plan by
+    /// [`FaultState::new`] and not recorded; the RNG resumes from its raw
+    /// state, so fault draws continue exactly where they left off.
     pub(crate) fn save_state(&self) -> Value {
         let error = self.error.as_ref().map(|e| match *e {
             ClusterError::LinkTimeout {
@@ -779,26 +799,15 @@ impl<P: Snap + Clone> FaultState<P> {
             } => (from, to, at, attempts),
             _ => unreachable!("only LinkTimeout is ever recorded here"),
         });
-        let restored = self.shards.first().map(|s| &*s.restored);
-        let mut delivered: Vec<u32> = restored
-            .into_iter()
-            .flatten()
-            .chain(self.shards.iter().flat_map(|s| &s.delivered))
-            .copied()
-            .collect();
-        delivered.sort_unstable();
-        let wf_next: usize = self.shards.iter().map(|s| s.wf_next).sum();
         Enc::new()
             .put(&self.rng.state())
             .put(&self.next_id)
             .put(&self.pending)
             .put(&self.deadlines)
-            .put(&delivered)
             .val(Value::Arr(
-                self.shards.iter().map(|s| s.deferred.save()).collect(),
+                self.shards.iter().map(ShardFaults::save_state).collect(),
             ))
-            .put(&wf_next)
-            .put(&self.counters())
+            .put(&self.retries)
             .put(&error)
             .done()
     }
@@ -809,37 +818,20 @@ impl<P: Snap + Clone> FaultState<P> {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] on a malformed record, a deferred-queue shape
-    /// that does not match the plan's shard count or a worker-fault cursor
-    /// past the schedule.
+    /// Returns [`SnapError`] on a malformed record, a shard count that
+    /// does not match the plan's or a worker-fault cursor past its
+    /// shard's schedule.
     pub(crate) fn load_state(&mut self, v: &Value) -> Result<(), SnapError> {
         let mut d = Dec::new(v, "fault state")?;
         self.rng = SplitMix64::new(d.get()?);
         self.next_id = d.get()?;
         self.pending = d.get()?;
         self.deadlines = d.get()?;
-        let restored = Arc::new(d.get::<HashSet<u32>>()?);
-        let deferred: Vec<VecDeque<(u64, Packet<P>)>> =
-            d.table("deferred queue", self.shards.len())?;
-        let wf_next: usize = d.get()?;
-        let mut schedule = self.plan.worker_faults.clone();
-        schedule.sort_unstable_by_key(|f| (f.at, f.shard));
-        let Some(consumed) = schedule.get(..wf_next) else {
-            return Err(SnapError::new(
-                "fault state: worker-fault cursor out of range",
-            ));
-        };
-        for (s, q) in self.shards.iter_mut().zip(deferred) {
-            s.deferred = q;
-            s.delivered.clear();
-            s.restored = Arc::clone(&restored);
-            s.wf_next = 0;
-            s.counters = FaultCounters::default();
+        let n = self.shards.len();
+        for (s, v) in self.shards.iter_mut().zip(d.units("shard faults", n)?) {
+            s.load_state(v)?;
         }
-        for f in consumed {
-            self.shards[f.shard as usize].wf_next += 1;
-        }
-        self.counters = d.get()?;
+        self.retries = d.get()?;
         self.error =
             d.get::<Option<_>>()?
                 .map(|(from, to, at, attempts)| ClusterError::LinkTimeout {
@@ -1012,6 +1004,40 @@ mod tests {
         assert_eq!(f.next_time(), Some(30));
         assert!(f.shard_mut(1).due_worker_fault(100));
         assert!(f.next_time().is_none());
+    }
+
+    #[test]
+    fn shard_records_roundtrip_and_reject_a_cursor_past_the_schedule() {
+        let plan = FaultPlan::new(5).with_dup_rate(1.0).with_worker_fault(1, 3);
+        let mut f: FaultState<u32> = FaultState::new(plan.clone(), 2);
+        let mut ls = links(2);
+        f.send(0, 0, 1, 42, 1, &mut ls);
+        assert_eq!(arrive(&mut f, &mut ls, 1, 7), vec![42]);
+        assert!(f.shard_mut(1).due_worker_fault(7));
+        let snap = f.save_state();
+        let mut back: FaultState<u32> = FaultState::new(plan.clone(), 2);
+        back.load_state(&snap).unwrap();
+        assert_eq!(back.next_time(), f.next_time());
+        assert!(!back.shard_mut(1).due_worker_fault(u64::MAX), "cursor kept");
+        // The duplicate still in flight is deduplicated after the restore.
+        assert!(arrive(&mut back, &mut ls, 1, 9).is_empty());
+        assert_eq!(back.counters().redeliveries, 1);
+        // Field 4 holds the shard records; field 2 of each is its cursor.
+        let mut bad = snap.clone();
+        let Value::Arr(fields) = &mut bad else {
+            unreachable!("a fault record is an array")
+        };
+        let Value::Arr(shards) = &mut fields[4] else {
+            unreachable!("field 4 is the shard table")
+        };
+        let Value::Arr(shard0) = &mut shards[0] else {
+            unreachable!("a shard record is an array")
+        };
+        shard0[2] = Value::Int(1);
+        let err = FaultState::<u32>::new(plan, 2)
+            .load_state(&bad)
+            .unwrap_err();
+        assert!(err.to_string().contains("cursor"), "got: {err}");
     }
 
     #[test]

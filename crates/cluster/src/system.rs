@@ -1005,11 +1005,10 @@ mod tests {
 
     #[test]
     fn threaded_epoch_loop_matches_inline() {
-        // Force real OS threads past the available-parallelism cap (and
-        // past the loop probe) so the barrier/coordinator path runs even
-        // on a one-core machine. The variable is process-global, but its
-        // only effect is choosing the threaded loop, which is
-        // result-identical by design.
+        // Force real OS threads so the barrier/coordinator path runs (the
+        // epoch loop otherwise runs inline). The variable is
+        // process-global, but its only effect is choosing the threaded
+        // loop, which is result-identical by design.
         std::env::set_var("PICOS_CLUSTER_FORCE_THREADS", "1");
         let tr = gen::stream(gen::StreamConfig::heavy(400));
         let serial = run(&tr, &ClusterConfig::balanced(4, 12)).unwrap();

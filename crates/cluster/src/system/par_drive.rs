@@ -60,10 +60,10 @@
 //! event.
 //!
 //! The engine is *observationally* identical for any thread count
-//! (including the inline loop used when only one core is available, or
-//! when the loop probe measures it faster — see [`Pace`]), because lane
-//! scheduling never influences what a lane computes — only the merge
-//! order does, and that is sorted.
+//! (including the inline loop, which drives every lane on the caller's
+//! thread — see [`ClusterSession::run_epochs`] for when it is used),
+//! because lane scheduling never influences what a lane computes — only
+//! the merge order does, and that is sorted.
 
 use super::{min_next, ClusterMsg, ClusterSession};
 use crate::config::ClusterError;
@@ -72,13 +72,12 @@ use picos_core::{FinishedReq, PicosSystem, SlotRef};
 use picos_hil::Link;
 use picos_metrics::span::{SpanKind, SpanLog};
 use picos_metrics::WindowSampler;
-use picos_runtime::par::{available_threads, DisjointSlice, PhaseCell, SpinBarrier};
+use picos_runtime::par::{DisjointSlice, PhaseCell, SpinBarrier};
 use picos_runtime::session::{EventLog, EventLoopCore, ScheduleLog, SimEvent};
 use picos_trace::{Dependence, TaskId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Pump-phase tags, in serial pump order at one event time: retries
 /// (fired by the coordinator), worker completions (`Finish` sends,
@@ -155,20 +154,6 @@ struct World<'a> {
     test_panic: Option<u16>,
 }
 
-impl World<'_> {
-    /// Returns every per-task cell to unclaimed, so a lane may move to
-    /// another thread.
-    ///
-    /// # Safety
-    ///
-    /// No lane may be running: the coordinator-between-barriers position.
-    unsafe fn release_claims(&self) {
-        self.frag_ready.as_mut_slice();
-        self.local_popped.as_mut_slice();
-        self.local_slot.as_mut_slice();
-    }
-}
-
 /// One shard's private simulation state: exactly the per-shard columns of
 /// [`ClusterSession`], plus the epoch buffers.
 struct Lane {
@@ -197,8 +182,6 @@ struct Lane {
     now: u64,
     /// Per-epoch emission counter behind every record's `seq`.
     seq: u32,
-    /// Pumps run this drive: the unit of lane work the loop probe times.
-    pumps: u64,
 }
 
 /// The coordinator's exclusive borrows of the session's global state,
@@ -236,42 +219,6 @@ struct Ctl {
     done: bool,
 }
 
-/// Epochs each timed stretch of the loop probe spans, and the epochs run
-/// untimed before it while the lanes' working sets move to their thread.
-const PROBE_EPOCHS: u32 = 256;
-const PROBE_WARMUP: u32 = 32;
-
-/// The pace of an epoch loop: wall time per lane pump since a start point.
-///
-/// Whether spreading lanes over threads pays depends on the host (what the
-/// cross-core hand-off of lane buffers at every barrier costs) and on the
-/// workload (how much lane work an epoch holds). Results are identical
-/// either way, so a threaded drive measures before it commits: it times
-/// the inline loop, then the threaded one, then the inline one again, and
-/// keeps threads only when they beat both inline stretches around them.
-/// Counting pumps makes stretches of different density comparable, and
-/// the bracket guards against the per-pump cost drifting while the probe
-/// runs (it falls steeply at the start of many runs).
-struct Pace {
-    start: Instant,
-    pumps: u64,
-}
-
-impl Pace {
-    fn start(lanes: &[Lane]) -> Self {
-        Pace {
-            start: Instant::now(),
-            pumps: lanes.iter().map(|l| l.pumps).sum(),
-        }
-    }
-
-    /// Nanoseconds per lane pump since the start.
-    fn ns_per_pump(&self, lanes: &[Lane]) -> f64 {
-        let pumps: u64 = lanes.iter().map(|l| l.pumps).sum();
-        self.start.elapsed().as_nanos() as f64 / (pumps - self.pumps).max(1) as f64
-    }
-}
-
 impl Lane {
     fn next_time(&self) -> Option<u64> {
         min_next([
@@ -296,7 +243,6 @@ impl Lane {
             }
             round = if t == cur { round + 1 } else { 0 };
             cur = t;
-            self.pumps += 1;
             self.pump_at(t, round, w);
         }
     }
@@ -715,45 +661,16 @@ fn merge_epoch(lanes: &mut [Lane], m: &mut MergeState<'_>) {
     }
 }
 
-/// The epoch loop on the caller's thread — the engine when only one core
-/// (or one configured thread) is effectively available, or when it
-/// measured faster than the threaded loop. Identical results to the
-/// threaded loop: scheduling never influences what a lane computes. Runs
-/// at most `limit` epochs; returns whether it stopped at that limit.
-fn run_inline(
-    lanes: &mut [Lane],
-    world: &World<'_>,
-    m: &mut MergeState<'_>,
-    la: u64,
-    bound: u64,
-    limit: u32,
-) -> bool {
-    for _ in 0..limit {
-        let Some(end) = plan_epoch(lanes, m, la, bound) else {
-            return false;
-        };
+/// The epoch loop on the caller's thread — the engine's default (see
+/// [`ClusterSession::run_epochs`]). Identical results to the threaded
+/// loop: scheduling never influences what a lane computes.
+fn run_inline(lanes: &mut [Lane], world: &World<'_>, m: &mut MergeState<'_>, la: u64, bound: u64) {
+    while let Some(end) = plan_epoch(lanes, m, la, bound) {
         for lane in lanes.iter_mut() {
             lane.run_epoch(end, world);
         }
         merge_epoch(lanes, m);
     }
-    true
-}
-
-/// Times [`PROBE_EPOCHS`] inline epochs after [`PROBE_WARMUP`] untimed ones:
-/// their [`Pace`] in ns per lane pump, or `None` when the drive ends first.
-fn inline_pace(
-    lanes: &mut [Lane],
-    world: &World<'_>,
-    m: &mut MergeState<'_>,
-    la: u64,
-    bound: u64,
-) -> Option<f64> {
-    if !run_inline(lanes, world, m, la, bound, PROBE_WARMUP) {
-        return None;
-    }
-    let pace = Pace::start(lanes);
-    run_inline(lanes, world, m, la, bound, PROBE_EPOCHS).then(|| pace.ns_per_pump(lanes))
 }
 
 /// The panic payload as a message, for [`ClusterError::LanePanic`].
@@ -782,9 +699,6 @@ fn note_panic(note: &Mutex<Option<String>>, p: Box<dyn std::any::Any + Send>) {
 /// coordinator *and* drives lane chunk 0; two barrier waits delimit each
 /// epoch: plan → **barrier** → compute → **barrier** → merge/plan …
 ///
-/// Runs at most `limit` epochs. Returns whether it stopped there and, if
-/// so, its [`Pace`] after [`PROBE_WARMUP`] epochs.
-///
 /// A panicking lane (or coordinator) is *caught*: the catcher records the
 /// first panic message, poisons the barrier so every other participant
 /// unblocks (their poison panics are caught and discarded in turn), and
@@ -797,14 +711,12 @@ fn run_threaded(
     la: u64,
     bound: u64,
     threads: usize,
-    limit: u32,
-) -> Result<Option<f64>, String> {
+) -> Option<String> {
     let chunk = lanes.len().div_ceil(threads);
     let barrier = SpinBarrier::new(threads);
     let ctl = PhaseCell::new(Ctl::default());
     let shared = DisjointSlice::new(lanes);
     let note: Mutex<Option<String>> = Mutex::new(None);
-    let mut stopped = None;
     std::thread::scope(|scope| {
         for tid in 1..threads {
             let lo = tid * chunk;
@@ -834,8 +746,6 @@ fn run_threaded(
                 }
             });
         }
-        let mut epochs = 0u32;
-        let mut pace = None;
         let coordinate = || loop {
             // SAFETY: every worker is parked at (or headed to) the first
             // barrier and touches no shared state until it releases — the
@@ -843,21 +753,17 @@ fn run_threaded(
             let done = unsafe {
                 let all = shared.as_mut_slice();
                 merge_epoch(all, m);
-                if epochs == PROBE_WARMUP {
-                    pace = Some(Pace::start(all));
+                let c = ctl.get();
+                match plan_epoch(all, m, la, bound) {
+                    Some(end) => {
+                        *c = Ctl { end, done: false };
+                        false
+                    }
+                    None => {
+                        *c = Ctl { end: 0, done: true };
+                        true
+                    }
                 }
-                let planned = if epochs == limit {
-                    stopped = Some(pace.as_ref().map_or(0.0, |p: &Pace| p.ns_per_pump(all)));
-                    None
-                } else {
-                    plan_epoch(all, m, la, bound)
-                };
-                epochs += 1;
-                *ctl.get() = Ctl {
-                    end: planned.unwrap_or(0),
-                    done: planned.is_none(),
-                };
-                planned.is_none()
             };
             barrier.wait();
             if done {
@@ -865,7 +771,7 @@ fn run_threaded(
             }
             // SAFETY: written before the barrier, stable until the next.
             let end = unsafe { ctl.get() }.end;
-            for i in 0..chunk {
+            for i in 0..chunk.min(shared.len()) {
                 // SAFETY: lane chunk 0 is thread 0's during compute.
                 unsafe { shared.get(i) }.run_epoch(end, world);
             }
@@ -876,10 +782,7 @@ fn run_threaded(
             barrier.poison();
         }
     });
-    match note.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        Some(detail) => Err(detail),
-        None => Ok(stopped),
-    }
+    note.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 impl ClusterSession {
@@ -934,9 +837,9 @@ impl ClusterSession {
         self.run_epochs(bound);
     }
 
-    /// Splits the session into shard lanes, runs the epoch loop, and
-    /// reassembles — the serial representation stays authoritative between
-    /// drives.
+    /// Splits the session into shard lanes, runs the epoch loop (inline
+    /// unless `PICOS_CLUSTER_FORCE_THREADS` is set), and reassembles — the
+    /// serial representation stays authoritative between drives.
     fn run_epochs(&mut self, bound: u64) {
         let k = self.cfg.shards;
         let lookahead = self.lookahead();
@@ -975,7 +878,6 @@ impl ClusterSession {
                 finished: 0,
                 now: self.t,
                 seq: 0,
-                pumps: 0,
             })
             .collect();
         let world = World {
@@ -1006,55 +908,26 @@ impl ClusterSession {
             starts: Vec::new(),
             evs: Vec::new(),
         };
-        // The configured count caps OS threads; the machine caps them
-        // further (spawning beyond the cores only adds barrier traffic,
-        // and results are identical for any thread count), and the probe
-        // keeps threads only where they measure faster. Setting
-        // PICOS_CLUSTER_FORCE_THREADS skips the machine cap and the probe
-        // so the threaded path runs whole drives even on starved boxes.
-        let forced = std::env::var_os("PICOS_CLUSTER_FORCE_THREADS").is_some();
-        let mut threads = self.cfg.threads.min(k).max(1);
-        if !forced {
-            threads = threads.min(available_threads());
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let (w, m) = (&world, &mut merge);
-            if threads > 1 && !forced {
-                // The loop probe (see [`Pace`]): inline, threaded, inline.
-                let Some(before) = inline_pace(&mut lanes, w, m, lookahead, bound) else {
-                    return Ok(None);
-                };
-                // SAFETY: no lane is running; the threads start below.
-                unsafe { w.release_claims() };
-                let probe = PROBE_WARMUP + PROBE_EPOCHS;
-                let Some(threaded) =
-                    run_threaded(&mut lanes, w, m, lookahead, bound, threads, probe)?
-                else {
-                    return Ok(None);
-                };
-                // SAFETY: the probe's threads have exited.
-                unsafe { w.release_claims() };
-                let Some(after) = inline_pace(&mut lanes, w, m, lookahead, bound) else {
-                    return Ok(None);
-                };
-                if threaded >= before.min(after) {
-                    run_inline(&mut lanes, w, m, lookahead, bound, u32::MAX);
-                    return Ok(None);
-                }
-                // SAFETY: no lane is running; the threads start below.
-                unsafe { w.release_claims() };
-            }
-            if threads > 1 {
-                run_threaded(&mut lanes, w, m, lookahead, bound, threads, u32::MAX)
-            } else {
-                run_inline(&mut lanes, w, m, lookahead, bound, u32::MAX);
-                Ok(None)
-            }
-        }));
-        let panic_note = match outcome {
-            Ok(Ok(_)) => None,
-            Ok(Err(detail)) => Some(detail),
-            Err(p) => Some(panic_message(p)),
+        // The lanes run on the caller's thread. Spreading them over OS
+        // threads is bit-identical but, on the hosts measured so far, slower:
+        // every barrier hands lane buffers between cores, and on 2 vCPUs two
+        // threads over four lanes ran each lane 40–60% slower than inline,
+        // so threaded drives lost 25–35%. PICOS_CLUSTER_FORCE_THREADS runs
+        // them on up to `threads` OS threads, which the conformance tests
+        // use to pin the threaded loop.
+        let threads = if std::env::var_os("PICOS_CLUSTER_FORCE_THREADS").is_some() {
+            self.cfg.threads.min(k)
+        } else {
+            1
+        };
+        let panic_note = if threads <= 1 {
+            catch_unwind(AssertUnwindSafe(|| {
+                run_inline(&mut lanes, &world, &mut merge, lookahead, bound)
+            }))
+            .err()
+            .map(panic_message)
+        } else {
+            run_threaded(&mut lanes, &world, &mut merge, lookahead, bound, threads)
         };
         let mut shard_faults = Vec::new();
         for lane in lanes {
@@ -1151,8 +1024,8 @@ mod panic_tests {
     fn inline_lane_panic_is_caught_too() {
         TEST_LANE_PANIC.with(|c| c.set(Some(0)));
         let tr = gen::stream(gen::StreamConfig::heavy(150));
-        // threads > available cores on CI boxes falls back to the inline
-        // epoch loop (no FORCE env), covering the catch there.
+        // Without PICOS_CLUSTER_FORCE_THREADS the epoch loop runs inline,
+        // covering the catch there.
         let cfg = ClusterConfig::balanced(2, 4).with_threads(2);
         let got = run(&tr, &cfg);
         TEST_LANE_PANIC.with(|c| c.set(None));

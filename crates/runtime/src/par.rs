@@ -22,6 +22,8 @@ use std::marker::PhantomData;
 #[cfg(debug_assertions)]
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+#[cfg(debug_assertions)]
+use std::sync::OnceLock;
 
 /// A slice shared across threads under a disjoint-access contract.
 ///
@@ -40,7 +42,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 /// Between two [`DisjointSlice::as_mut_slice`] calls an index belongs to
 /// the first thread that calls `get` on it; debug builds tag each element
 /// with that thread and panic when another thread claims it. Release
-/// builds carry no tags.
+/// builds carry no tags. The tags cost a debug build one zeroed atomic
+/// per element, allocated on the first `get` of each wrapper, so a
+/// wrapper built per call (the cluster builds its per-task ones once per
+/// drive) pays O(len) there.
 ///
 /// The cluster's epoch engine satisfies the contract structurally: each
 /// lane (and each task's readiness state, owned by the task's placement
@@ -51,9 +56,10 @@ pub struct DisjointSlice<'a, T> {
     ptr: *mut T,
     len: usize,
     _marker: PhantomData<&'a mut [T]>,
-    /// Per-element owner tags (0 = unclaimed), debug builds only.
+    /// Per-element owner tags (0 = unclaimed), debug builds only;
+    /// allocated by the first `get`.
     #[cfg(debug_assertions)]
-    owners: Box<[AtomicU64]>,
+    owners: OnceLock<Box<[AtomicU64]>>,
 }
 
 /// A nonzero tag naming the calling thread, for the debug claim check.
@@ -83,7 +89,7 @@ impl<'a, T> DisjointSlice<'a, T> {
             len: slice.len(),
             _marker: PhantomData,
             #[cfg(debug_assertions)]
-            owners: slice.iter().map(|_| AtomicU64::new(0)).collect(),
+            owners: OnceLock::new(),
         }
     }
 
@@ -117,8 +123,11 @@ impl<'a, T> DisjointSlice<'a, T> {
         #[cfg(debug_assertions)]
         {
             let me = thread_tag();
+            let owners = self
+                .owners
+                .get_or_init(|| (0..self.len).map(|_| AtomicU64::new(0)).collect());
             if let Err(owner) =
-                self.owners[i].compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed)
+                owners[i].compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed)
             {
                 assert!(
                     owner == me,
@@ -140,7 +149,7 @@ impl<'a, T> DisjointSlice<'a, T> {
     #[allow(clippy::mut_from_ref)] // the whole point, governed by the contract
     pub unsafe fn as_mut_slice(&self) -> &mut [T] {
         #[cfg(debug_assertions)]
-        for owner in self.owners.iter() {
+        for owner in self.owners.get().into_iter().flatten() {
             owner.store(0, Ordering::Relaxed);
         }
         std::slice::from_raw_parts_mut(self.ptr, self.len)

@@ -157,8 +157,8 @@ fn cluster_is_deterministic_through_the_backend() {
 /// Thread counts the parallel-engine pins run at. Defaults to every count
 /// in `1..=8`; `CLUSTER_TEST_THREADS=2,8` narrows the sweep (CI runs the
 /// suite twice, once per thread count, with
-/// `PICOS_CLUSTER_FORCE_THREADS=1` so real OS threads are exercised even
-/// on single-core runners).
+/// `PICOS_CLUSTER_FORCE_THREADS=1`, which puts the lanes on real OS
+/// threads).
 fn test_thread_counts() -> Vec<usize> {
     match std::env::var("CLUSTER_TEST_THREADS") {
         Ok(s) => s

@@ -60,8 +60,8 @@ fn golden_workloads() -> Vec<(String, Trace)> {
 
 /// Thread counts the pins run at; `CLUSTER_TEST_THREADS=2,8` narrows the
 /// sweep (CI re-runs the suite that way under
-/// `PICOS_CLUSTER_FORCE_THREADS=1`, so real OS threads are exercised even
-/// on single-core runners).
+/// `PICOS_CLUSTER_FORCE_THREADS=1`, which puts the lanes on real OS
+/// threads).
 fn test_thread_counts() -> Vec<usize> {
     match std::env::var("CLUSTER_TEST_THREADS") {
         Ok(s) => s
